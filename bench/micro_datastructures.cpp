@@ -1,14 +1,13 @@
 // Google-benchmark microbenchmarks for the core data structures: token
 // buckets, the scheduling tree's update/θ-derivation, the classifier with
-// and without flow-cache hits, header parsing, the event queue, and the
-// HTB baseline's hot paths. These are wall-clock benchmarks of the
-// *implementation* (the figure benches measure virtual-time behaviour).
+// and without flow-cache hits, the event queue, and the HTB baseline's hot
+// paths. These are wall-clock benchmarks of the *implementation* (the
+// figure benches measure virtual-time behaviour).
 #include <benchmark/benchmark.h>
 
 #include "baseline/htb.h"
 #include "core/flowvalve.h"
 #include "exp/scenarios.h"
-#include "net/headers.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 
@@ -107,19 +106,6 @@ void BM_ClassifierMiss(benchmark::State& state) {
 }
 BENCHMARK(BM_ClassifierMiss);
 
-void BM_ParseTcpFrame(benchmark::State& state) {
-  net::FiveTuple t;
-  t.src_ip = 0x0a000001;
-  t.dst_ip = 0x0a000002;
-  t.src_port = 1234;
-  t.dst_port = 80;
-  const auto frame = net::build_frame_for_tuple(t, 256);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net::parse_frame(frame));
-  }
-}
-BENCHMARK(BM_ParseTcpFrame);
-
 void BM_EventQueueChurn(benchmark::State& state) {
   sim::Simulator sim;
   sim::Rng rng(7);
@@ -183,11 +169,10 @@ BENCHMARK(BM_RngNextU64);
 
 }  // namespace
 
-// ---- appended: PIFO vs Eiffel-style bucket queue, MAT, Carousel ----------
+// ---- appended: PIFO vs Eiffel-style bucket queue --------------------------
 
 #include "baseline/bucket_queue.h"
 #include "baseline/pifo.h"
-#include "np/mat.h"
 
 namespace {
 
@@ -220,28 +205,6 @@ void BM_BucketQueueChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BucketQueueChurn);
-
-void BM_MatProgramApply(benchmark::State& state) {
-  np::mat::MatProgram prog;
-  np::mat::MatTable table("labeling");
-  for (std::uint32_t i = 0; i < 16; ++i) {
-    np::mat::TableEntry e;
-    e.match = {np::mat::MatchSpec::exact(np::mat::Field::kVfPort, i)};
-    e.priority = i;
-    e.action = np::mat::Action::set_label(i);
-    table.add_entry(e);
-  }
-  table.set_default_action(np::mat::Action::drop());
-  prog.add_table(std::move(table));
-  net::Packet pkt;
-  pkt.wire_bytes = 300;
-  std::uint16_t vf = 0;
-  for (auto _ : state) {
-    pkt.vf_port = vf++ % 16;
-    benchmark::DoNotOptimize(prog.run(pkt));
-  }
-}
-BENCHMARK(BM_MatProgramApply);
 
 }  // namespace
 

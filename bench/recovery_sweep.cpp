@@ -78,7 +78,7 @@ const KindSpec kKinds[] = {
 };
 const core::BackendKind kBackends[] = {
     core::BackendKind::kFlowValve, core::BackendKind::kStfq,
-    core::BackendKind::kEiffel, core::BackendKind::kSpPifo};
+    core::BackendKind::kEiffel};
 
 struct CellResult {
   std::string kind;

@@ -64,7 +64,7 @@ void cli_usage() {
       "                      (1 = legacy per-packet path; 0 = scenario's own\n"
       "                      seed-derived burst size, the default)\n"
       "  --backend K         force the scheduling discipline for every run:\n"
-      "                      fv (default tree) | stfq | eiffel | sppifo\n"
+      "                      fv (default tree) | stfq | eiffel\n"
       "                      (unset = scenario's own seed-derived backend)\n"
       "  --scheduler K       event queue backend: wheel (default) | heap\n"
       "  -v, --verbose       print the full scenario for every seed\n");
@@ -153,7 +153,7 @@ CliParseResult parse_cli(int argc, char** argv, CliOptions& out) {
       core::BackendKind kind = core::BackendKind::kFlowValve;
       if (!core::parse_backend_kind(k, kind)) {
         std::fprintf(
-            stderr, "fuzz_check: unknown backend '%s' (fv|stfq|eiffel|sppifo)\n",
+            stderr, "fuzz_check: unknown backend '%s' (fv|stfq|eiffel)\n",
             k);
         return CliParseResult::kError;
       }

@@ -68,7 +68,7 @@ struct RunOptions {
   unsigned batch_size = 0;
   /// If set, overrides the scenario's seed-derived scheduling discipline
   /// (NpConfig::backend) — the knob behind `fuzz_check --backend`: the same
-  /// seed can be pinned to FlowValve, STFQ, Eiffel, or SP-PIFO and must
+  /// seed can be pinned to FlowValve, STFQ, or Eiffel and must
   /// pass every discipline-generic invariant under each.
   std::optional<core::BackendKind> backend;
   /// Event-queue backend for the run. The wheel is the production default;

@@ -163,62 +163,6 @@ SchedDecision EiffelBackend::schedule(net::Packet& pkt, sim::SimTime now) {
 }
 
 // ---------------------------------------------------------------------------
-// SpPifoBackend
-// ---------------------------------------------------------------------------
-
-SpPifoBackend::SpPifoBackend(SchedulingTree& tree, const LabelTable& labels,
-                             SchedulerCosts costs)
-    : StfqBackend(tree, labels, costs) {
-  for (std::size_t i = 0; i < kBands; ++i)
-    bounds_[i] = static_cast<double>(i + 1) / static_cast<double>(kBands);
-}
-
-SchedDecision SpPifoBackend::schedule(net::Packet& pkt, sim::SimTime now) {
-  SchedDecision d;
-  assert(pkt.label != net::kUnclassified && "packet must be labeled first");
-  const QosLabel& label = labels_.get(pkt.label);
-  assert(!label.path.empty());
-
-  walk_path(label, pkt, now, d);
-
-  RankView rv;
-  d.cycles += costs_.meter_cycles;
-  d.cycles += costs_.count_cycles;  // band scan
-  if (!rank(label, now, rv) || rv.deficit_bytes > rv.lead_bytes) {
-    ++stats_.rank_lead_drops;
-    book_drop(label.path.back(), pkt);
-    return d;
-  }
-
-  // SP-PIFO mapping (admitted ranks only — in a never-queueing valve the
-  // band carries no release-order effect; it measures how well k strict-
-  // priority FIFOs would approximate the exact rank order). Normalized
-  // rank r ∈ [0, 1]; scan bands worst-first for the first bound ≤ r:
-  // push-up raises that bound to r. If even the best band's bound exceeds
-  // r, push-down shifts every bound toward r (the unpifoness signal).
-  const double r = rv.lead_bytes > 0.0 ? rv.deficit_bytes / rv.lead_bytes : 0.0;
-  std::size_t band = 0;
-  bool placed = false;
-  for (std::size_t i = kBands; i-- > 0;) {
-    if (bounds_[i] <= r) {
-      band = i;
-      bounds_[i] = r;  // push-up
-      placed = true;
-      break;
-    }
-  }
-  if (!placed) {
-    const double delta = bounds_[0] - r;
-    for (double& b : bounds_) b -= delta;  // push-down
-    ++stats_.band_adaptations;
-  }
-  ++band_admits_[band];
-
-  admit(pkt, label, rv, d);
-  return d;
-}
-
-// ---------------------------------------------------------------------------
 // Factory
 // ---------------------------------------------------------------------------
 
@@ -233,8 +177,6 @@ std::unique_ptr<SchedulerBackend> make_backend(BackendKind kind,
       return std::make_unique<StfqBackend>(tree, labels, costs);
     case BackendKind::kEiffel:
       return std::make_unique<EiffelBackend>(tree, labels, costs);
-    case BackendKind::kSpPifo:
-      return std::make_unique<SpPifoBackend>(tree, labels, costs);
   }
   return nullptr;
 }

@@ -22,11 +22,12 @@
 //   StfqBackend    exact start-time ranks (PIFO/STFQ valve)
 //   EiffelBackend  + an Eiffel FFS bucket-queue calendar tracking admitted
 //                    packets by quantized finish tag (bounded rank horizon)
-//   SpPifoBackend  + SP-PIFO adaptive strict-priority banding over the
-//                    ranks (push-up/push-down bound adaptation telemetry)
+//
+// SP-PIFO is deliberately absent: it approximates a PIFO *queue* with
+// strict-priority FIFOs, and a valve has no queue for its bands to order,
+// so its admission would be exactly StfqBackend's.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -88,28 +89,6 @@ class EiffelBackend final : public StfqBackend {
   baseline::BucketQueue<ClassId> calendar_{kWheelBuckets};
   double cal_base_ = 0.0;   // virtual-byte origin of bucket 0
   double quantum_ = 0.0;    // virtual bytes per bucket (sized lazily)
-};
-
-class SpPifoBackend final : public StfqBackend {
- public:
-  static constexpr std::size_t kBands = 8;
-
-  SpPifoBackend(SchedulingTree& tree, const LabelTable& labels,
-                SchedulerCosts costs);
-
-  BackendKind kind() const override { return BackendKind::kSpPifo; }
-  SchedDecision schedule(net::Packet& pkt, sim::SimTime now) override;
-
-  const std::array<double, kBands>& bounds() const { return bounds_; }
-  const std::array<std::uint64_t, kBands>& band_admits() const {
-    return band_admits_;
-  }
-
- private:
-  // Ascending queue bounds over the normalized rank r = deficit / lead in
-  // [0, 1]; band k-1 holds the worst (farthest-future) admitted ranks.
-  std::array<double, kBands> bounds_{};
-  std::array<std::uint64_t, kBands> band_admits_{};
 };
 
 }  // namespace flowvalve::core

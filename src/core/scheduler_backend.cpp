@@ -9,7 +9,6 @@ const char* backend_kind_name(BackendKind kind) {
     case BackendKind::kFlowValve: return "fv";
     case BackendKind::kStfq: return "stfq";
     case BackendKind::kEiffel: return "eiffel";
-    case BackendKind::kSpPifo: return "sppifo";
   }
   return "?";
 }
@@ -21,8 +20,6 @@ bool parse_backend_kind(std::string_view name, BackendKind& out) {
     out = BackendKind::kStfq;
   } else if (name == "eiffel") {
     out = BackendKind::kEiffel;
-  } else if (name == "sppifo" || name == "sp-pifo") {
-    out = BackendKind::kSpPifo;
   } else {
     return false;
   }

@@ -10,10 +10,10 @@
 // bookkeeping) and a backend supplies only decide(): given a labeled packet
 // whose path state is fresh, FORWARD or DROP.
 //
-// Backends never queue. A rank-based discipline (STFQ/PIFO, Eiffel,
-// SP-PIFO) is expressed as a *valve*: the rank a PIFO would insert at
-// becomes an admission test against a bounded lead over virtual time, so
-// the discipline still shapes who gets the wire without requiring the
+// Backends never queue. A rank-based discipline (STFQ/PIFO, Eiffel) is
+// expressed as a *valve*: the rank a PIFO would insert at becomes an
+// admission test against a bounded lead over virtual time, so the
+// discipline still shapes who gets the wire without requiring the
 // insertion-anywhere queue hardware the paper argues NPs don't have.
 #pragma once
 
@@ -35,11 +35,10 @@ enum class BackendKind : std::uint8_t {
   kFlowValve,  // scheduling tree + token buckets + shadow-bucket borrowing
   kStfq,       // PIFO/STFQ start-time ranks as a drop-based admission valve
   kEiffel,     // STFQ ranks tracked in an Eiffel FFS bucket-queue calendar
-  kSpPifo,     // STFQ ranks + SP-PIFO adaptive strict-priority banding
 };
 
 const char* backend_kind_name(BackendKind kind);
-/// Parse "fv|flowvalve", "stfq|pifo", "eiffel", "sppifo|sp-pifo".
+/// Parse "fv|flowvalve", "stfq|pifo", "eiffel".
 /// Returns false (and leaves `out` untouched) on an unknown name.
 bool parse_backend_kind(std::string_view name, BackendKind& out);
 
@@ -113,7 +112,6 @@ class SchedulerBackend {
     std::uint64_t rank_lead_drops = 0;     // finish tag too far ahead of V
     std::uint64_t rank_horizon_drops = 0;  // beyond the Eiffel wheel horizon
     std::uint64_t calendar_rebases = 0;    // Eiffel wheel origin shifts
-    std::uint64_t band_adaptations = 0;    // SP-PIFO bound push-up/push-down
   };
   const Stats& stats() const { return stats_; }
   void reset_stats() { stats_ = Stats{}; }

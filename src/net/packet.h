@@ -1,11 +1,11 @@
 // Packet model.
 //
 // The simulator moves Packet values (not wire bytes) between components for
-// speed; src/net/headers.h can materialize/parse real Ethernet/IPv4/TCP/UDP
-// frames for the classifier and its tests. The `wire_bytes` field is the
-// full frame length including FCS; per-packet wire occupancy additionally
-// pays kEthernetOverheadBytes of preamble + inter-frame gap, matching how
-// 40GbE line rate is computed in the paper's Fig. 13 (64B → 59.5 Mpps).
+// speed: the classifier matches on the FiveTuple a packet carries, never on
+// frame bytes. The `wire_bytes` field is the full frame length including
+// FCS; per-packet wire occupancy additionally pays kEthernetOverheadBytes
+// of preamble + inter-frame gap, matching how 40GbE line rate is computed
+// in the paper's Fig. 13 (64B → 59.5 Mpps).
 #pragma once
 
 #include <cstdint>

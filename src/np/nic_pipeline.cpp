@@ -110,7 +110,6 @@ void NicPipeline::drop(const net::Packet& pkt, DropReason reason) {
     case DropReason::kIslandRestart: ++stats_.island_restart_drops; break;
   }
   if (observer_) observer_->on_drop(pkt, reason, sim_.now());
-  if (on_dropped_detailed_) on_dropped_detailed_(pkt, reason);
   notify_drop(pkt);
 }
 
@@ -318,7 +317,7 @@ void NicPipeline::on_completion(unsigned worker, std::uint32_t epoch) {
       } else if (config_.enforce_reorder) {
         reorder_commit(item.seq, std::move(pkt));
       } else {
-        worker_finish(worker, std::move(pkt));
+        tx_admit(std::move(pkt));
       }
     } else {
       --in_flight_;
@@ -335,10 +334,6 @@ void NicPipeline::on_completion(unsigned worker, std::uint32_t epoch) {
     idle_workers_.push_back(worker);
   }
   try_dispatch();
-}
-
-void NicPipeline::worker_finish(unsigned /*worker*/, net::Packet pkt) {
-  tx_admit(std::move(pkt));
 }
 
 void NicPipeline::reorder_commit(std::uint64_t seq, net::Packet&& pkt) {

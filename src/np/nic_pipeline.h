@@ -160,12 +160,6 @@ class NicPipeline final : public net::EgressDevice {
   /// drop); the drop callback fires either way.
   bool submit(net::Packet pkt) override;
 
-  /// Optional detailed drop callback (the EgressDevice one also fires).
-  void set_detailed_drop_callback(
-      std::function<void(const net::Packet&, DropReason)> cb) {
-    on_dropped_detailed_ = std::move(cb);
-  }
-
   /// Attach a passive observer (nullptr detaches). Not owned; must outlive
   /// the pipeline or be detached first.
   void set_observer(PipelineObserver* observer) { observer_ = observer; }
@@ -352,7 +346,6 @@ class NicPipeline final : public net::EgressDevice {
   /// VF rings non-empty).
   void dispatch_burst(unsigned worker);
   void on_completion(unsigned worker, std::uint32_t epoch);
-  void worker_finish(unsigned worker, net::Packet pkt);
   /// Reorder system: commit `seq` with a packet to transmit and release any
   /// now-in-order packets to the Tx ring. reorder_commit_gap commits a
   /// sequence without a packet (scheduler drop, watchdog give-up, injected
@@ -473,7 +466,6 @@ class NicPipeline final : public net::EgressDevice {
   std::uint64_t admission_seq_ = 0;     // submissions seen while active
   unsigned admission_over_ticks_ = 0;   // consecutive ticks over watermark
 
-  std::function<void(const net::Packet&, DropReason)> on_dropped_detailed_;
   PipelineObserver* observer_ = nullptr;
   ControlHook* control_hook_ = nullptr;
 

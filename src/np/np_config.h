@@ -64,7 +64,7 @@ struct NpConfig {
 
   /// Scheduling discipline the worker micro-engines run behind the shared
   /// labeling + try-lock contention structure (core/scheduler_backend.h).
-  /// FlowValve's tree is the default; STFQ/Eiffel/SP-PIFO rank valves are
+  /// FlowValve's tree is the default; STFQ/Eiffel rank valves are
   /// selectable per NIC (and per fuzz scenario / fuzz_check --backend).
   core::BackendKind backend = core::BackendKind::kFlowValve;
 

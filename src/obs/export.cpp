@@ -121,7 +121,6 @@ void snapshot_json(JsonWriter& w, const CounterSnapshot& s) {
         .key("rank_lead_drops").value(s.sched.rank_lead_drops)
         .key("rank_horizon_drops").value(s.sched.rank_horizon_drops)
         .key("calendar_rebases").value(s.sched.calendar_rebases)
-        .key("band_adaptations").value(s.sched.band_adaptations)
         .end_object();
   }
   if (s.have_emc) {

@@ -34,57 +34,6 @@ void Ewma::reset() {
   initialized_ = false;
 }
 
-// ----------------------------------------------------------- RateMeter ----
-
-RateMeter::RateMeter(SimDuration window) : window_(window) { assert(window > 0); }
-
-void RateMeter::roll(SimTime now) const {
-  while (now >= window_start_ + window_) {
-    last_window_rate_bps_ =
-        static_cast<double>(window_bytes_) * 8e9 / static_cast<double>(window_);
-    have_last_window_ = true;
-    window_bytes_ = 0;
-    window_start_ += window_;
-    // If the gap spans several empty windows, they all report zero; skip
-    // directly when far behind to stay O(1).
-    if (now - window_start_ > 2 * window_) {
-      last_window_rate_bps_ = 0.0;
-      window_start_ = now - (now % window_);
-    }
-  }
-}
-
-void RateMeter::add(SimTime now, std::uint64_t bytes) {
-  roll(now);
-  window_bytes_ += bytes;
-  total_bytes_ += bytes;
-  ++total_packets_;
-}
-
-Rate RateMeter::rate(SimTime now) const {
-  roll(now);
-  const SimDuration elapsed = now - window_start_;
-  if (!have_last_window_) {
-    if (elapsed <= 0) return Rate::zero();
-    return Rate::bits_per_sec(static_cast<double>(window_bytes_) * 8e9 /
-                              static_cast<double>(elapsed));
-  }
-  // Blend completed window with live partial window, weighted by coverage.
-  const double frac = static_cast<double>(elapsed) / static_cast<double>(window_);
-  const double live_bps =
-      elapsed > 0 ? static_cast<double>(window_bytes_) * 8e9 / static_cast<double>(elapsed) : 0.0;
-  return Rate::bits_per_sec((1.0 - frac) * last_window_rate_bps_ + frac * live_bps);
-}
-
-void RateMeter::reset() {
-  window_start_ = 0;
-  window_bytes_ = 0;
-  last_window_rate_bps_ = 0.0;
-  have_last_window_ = false;
-  total_bytes_ = 0;
-  total_packets_ = 0;
-}
-
 // ---------------------------------------------------- ThroughputSeries ----
 
 ThroughputSeries::ThroughputSeries(SimDuration bin_width) : bin_width_(bin_width) {

@@ -1,6 +1,6 @@
-// Measurement utilities: EWMA filters, windowed rate meters, binned time
-// series (throughput-over-time figures), and latency histograms with
-// percentile queries (one-way-delay figure).
+// Measurement utilities: EWMA filters, binned time series
+// (throughput-over-time figures), and latency histograms with percentile
+// queries (one-way-delay figure).
 #pragma once
 
 #include <cstdint>
@@ -35,32 +35,6 @@ class Ewma {
   double value_ = 0.0;
   SimTime last_ = 0;
   bool initialized_ = false;
-};
-
-/// Measures a byte rate over fixed windows: call add(now, bytes) on every
-/// packet; rate() reports the rate of the most recently *completed* window
-/// blended with the live partial window. This mirrors how the paper's
-/// scheduling function evaluates Γ per update epoch.
-class RateMeter {
- public:
-  explicit RateMeter(SimDuration window = sim::milliseconds(10));
-
-  void add(SimTime now, std::uint64_t bytes);
-  Rate rate(SimTime now) const;
-  std::uint64_t total_bytes() const { return total_bytes_; }
-  std::uint64_t total_packets() const { return total_packets_; }
-  void reset();
-
- private:
-  void roll(SimTime now) const;
-
-  SimDuration window_;
-  mutable SimTime window_start_ = 0;
-  mutable std::uint64_t window_bytes_ = 0;
-  mutable double last_window_rate_bps_ = 0.0;
-  mutable bool have_last_window_ = false;
-  std::uint64_t total_bytes_ = 0;
-  std::uint64_t total_packets_ = 0;
 };
 
 /// Per-interval byte accounting producing a throughput time series — the
@@ -111,25 +85,6 @@ class LatencyStats {
   void ensure_sorted() const;
   mutable std::vector<SimDuration> samples_;
   mutable bool sorted_ = true;
-};
-
-/// Basic packet counters kept by every scheduler/pipeline stage.
-struct PacketCounters {
-  std::uint64_t offered_packets = 0;
-  std::uint64_t offered_bytes = 0;
-  std::uint64_t forwarded_packets = 0;
-  std::uint64_t forwarded_bytes = 0;
-  std::uint64_t dropped_packets = 0;
-  std::uint64_t dropped_bytes = 0;
-
-  double drop_fraction() const {
-    return offered_packets == 0
-               ? 0.0
-               : static_cast<double>(dropped_packets) / static_cast<double>(offered_packets);
-  }
-  void on_offered(std::uint64_t bytes) { ++offered_packets; offered_bytes += bytes; }
-  void on_forwarded(std::uint64_t bytes) { ++forwarded_packets; forwarded_bytes += bytes; }
-  void on_dropped(std::uint64_t bytes) { ++dropped_packets; dropped_bytes += bytes; }
 };
 
 /// Fixed-layout console table printer used by the benches so that every

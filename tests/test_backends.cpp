@@ -1,10 +1,10 @@
 // Tier-1 coverage for the SchedulerBackend seam: every promoted discipline
-// (FlowValve tree, PIFO/STFQ valve, Eiffel calendar, SP-PIFO banding) must
-// pass the discipline-generic invariant checkers under fuzz and chaos, hold
-// the FV-vs-HTB weighted-share oracle, agree with itself across batch
-// sizes, and replay deterministically. Engine-level tests pin the rank
-// valves' discipline semantics (weighted shares, calendar activity, band
-// adaptation) that the scenario battery can't observe directly.
+// (FlowValve tree, PIFO/STFQ valve, Eiffel calendar) must pass the
+// discipline-generic invariant checkers under fuzz and chaos, hold the
+// FV-vs-HTB weighted-share oracle, agree with itself across batch sizes,
+// and replay deterministically. Engine-level tests pin the rank valves'
+// discipline semantics (weighted shares, calendar activity) that the
+// scenario battery can't observe directly.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -20,10 +20,7 @@ namespace {
 using core::BackendKind;
 
 constexpr BackendKind kAllBackends[] = {
-    BackendKind::kFlowValve, BackendKind::kStfq, BackendKind::kEiffel,
-    BackendKind::kSpPifo};
-constexpr BackendKind kRankBackends[] = {
-    BackendKind::kStfq, BackendKind::kEiffel, BackendKind::kSpPifo};
+    BackendKind::kFlowValve, BackendKind::kStfq, BackendKind::kEiffel};
 
 RunOptions with_backend(BackendKind kind) {
   RunOptions opts;
@@ -38,18 +35,18 @@ TEST(BackendKindNames, RoundTripAndAliases) {
     EXPECT_EQ(parsed, kind);
   }
   BackendKind k = BackendKind::kFlowValve;
+  EXPECT_TRUE(core::parse_backend_kind("flowvalve", k));
+  EXPECT_EQ(k, BackendKind::kFlowValve);
   EXPECT_TRUE(core::parse_backend_kind("pifo", k));
   EXPECT_EQ(k, BackendKind::kStfq);
-  EXPECT_TRUE(core::parse_backend_kind("sp-pifo", k));
-  EXPECT_EQ(k, BackendKind::kSpPifo);
   EXPECT_FALSE(core::parse_backend_kind("fifo", k));
-  EXPECT_EQ(k, BackendKind::kSpPifo);  // untouched on failure
+  EXPECT_EQ(k, BackendKind::kStfq);  // untouched on failure
 }
 
 TEST(BackendFuzz, SeedsDeriveEveryBackend) {
   // The seed-derived backend draw must actually reach every discipline so
   // the default corpus soaks all of them (weighted toward FlowValve).
-  unsigned counts[4] = {0, 0, 0, 0};
+  unsigned counts[3] = {0, 0, 0};
   for (std::uint64_t seed = 1; seed <= 40; ++seed)
     ++counts[static_cast<unsigned>(generate_scenario(seed).nic.backend)];
   for (unsigned c : counts) EXPECT_GT(c, 0u);
@@ -221,24 +218,6 @@ TEST(RankValves, EiffelCalendarTracksAdmissionsAndRebases) {
   EXPECT_GT(st.calendar_rebases, 0u);
   auto& eiffel = static_cast<core::EiffelBackend&>(engine.backend());
   EXPECT_LE(eiffel.calendar_backlog(), core::EiffelBackend::kWheelBuckets);
-}
-
-TEST(RankValves, SpPifoAdaptsBandsAndMatchesStfqAdmission) {
-  auto engine = make_engine(BackendKind::kSpPifo);
-  std::uint64_t fwd[2];
-  saturate(engine, sim::milliseconds(50), fwd);
-  EXPECT_NEAR(static_cast<double>(fwd[0]) / static_cast<double>(fwd[1]), 3.0,
-              0.25);
-  const auto& st = engine.backend().stats();
-  EXPECT_GT(st.rank_admissions, 0u);
-  EXPECT_GT(st.band_adaptations, 0u);
-  auto& sp = static_cast<core::SpPifoBackend&>(engine.backend());
-  std::uint64_t banded = 0;
-  for (std::uint64_t c : sp.band_admits()) banded += c;
-  EXPECT_EQ(banded, st.rank_admissions);
-  // Bounds stay ordered (ascending) through push-up/push-down adaptation.
-  for (std::size_t i = 1; i < core::SpPifoBackend::kBands; ++i)
-    EXPECT_LE(sp.bounds()[i - 1], sp.bounds()[i]);
 }
 
 TEST(RankValves, SchedulerAccessorValidOnlyUnderFlowValve) {

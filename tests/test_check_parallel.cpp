@@ -82,7 +82,7 @@ TEST(ParallelCorpus, ReconfigSeedsBitIdentical) {
 TEST(ParallelCorpus, EveryBackendEveryBatchBitIdentical) {
   for (core::BackendKind backend :
        {core::BackendKind::kFlowValve, core::BackendKind::kStfq,
-        core::BackendKind::kEiffel, core::BackendKind::kSpPifo}) {
+        core::BackendKind::kEiffel}) {
     for (unsigned batch : {1u, 32u}) {
       RunOptions opts;
       opts.backend = backend;

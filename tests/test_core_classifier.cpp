@@ -29,45 +29,47 @@ net::Packet make_packet(std::uint16_t vf, FiveTuple t) {
 
 TEST(FilterRule, WildcardMatchesEverything) {
   FilterRule r;
-  EXPECT_TRUE(r.matches(0, make_tuple(), 0));
-  EXPECT_TRUE(r.matches(7, make_tuple(0x01020304, 9999), 63));
+  EXPECT_TRUE(r.matches(0, make_tuple()));
+  EXPECT_TRUE(r.matches(7, make_tuple(0x01020304, 9999)));
 }
 
 TEST(FilterRule, VfPortExact) {
   FilterRule r;
   r.vf_port = 3;
-  EXPECT_TRUE(r.matches(3, make_tuple(), 0));
-  EXPECT_FALSE(r.matches(4, make_tuple(), 0));
+  EXPECT_TRUE(r.matches(3, make_tuple()));
+  EXPECT_FALSE(r.matches(4, make_tuple()));
 }
 
 TEST(FilterRule, ProtocolMatch) {
   FilterRule r;
   r.proto = IpProto::kUdp;
   FiveTuple t = make_tuple();
-  EXPECT_FALSE(r.matches(0, t, 0));
+  EXPECT_FALSE(r.matches(0, t));
   t.proto = IpProto::kUdp;
-  EXPECT_TRUE(r.matches(0, t, 0));
+  EXPECT_TRUE(r.matches(0, t));
 }
 
 TEST(FilterRule, PrefixMatching) {
   FilterRule r;
   r.src_ip = 0x0a000000;  // 10.0.0.0/8
   r.src_prefix_len = 8;
-  EXPECT_TRUE(r.matches(0, make_tuple(0x0a123456), 0));
-  EXPECT_FALSE(r.matches(0, make_tuple(0x0b000001), 0));
+  EXPECT_TRUE(r.matches(0, make_tuple(0x0a123456)));
+  EXPECT_FALSE(r.matches(0, make_tuple(0x0b000001)));
   r.src_prefix_len = 32;
   r.src_ip = 0x0a000001;
-  EXPECT_TRUE(r.matches(0, make_tuple(0x0a000001), 0));
-  EXPECT_FALSE(r.matches(0, make_tuple(0x0a000002), 0));
+  EXPECT_TRUE(r.matches(0, make_tuple(0x0a000001)));
+  EXPECT_FALSE(r.matches(0, make_tuple(0x0a000002)));
 }
 
-TEST(FilterRule, PortsAndDscp) {
+TEST(FilterRule, PortsMatchExactly) {
   FilterRule r;
   r.dst_port = 443;
-  r.dscp = 12;
-  EXPECT_FALSE(r.matches(0, make_tuple(0x0a000001, 80), 12));
-  EXPECT_FALSE(r.matches(0, make_tuple(0x0a000001, 443), 0));
-  EXPECT_TRUE(r.matches(0, make_tuple(0x0a000001, 443), 12));
+  EXPECT_FALSE(r.matches(0, make_tuple(0x0a000001, 80)));
+  EXPECT_TRUE(r.matches(0, make_tuple(0x0a000001, 443)));
+  r.src_port = 1234;  // make_tuple's source port
+  EXPECT_TRUE(r.matches(0, make_tuple(0x0a000001, 443)));
+  r.src_port = 1235;
+  EXPECT_FALSE(r.matches(0, make_tuple(0x0a000001, 443)));
 }
 
 // ---- LabelTable -----------------------------------------------------------

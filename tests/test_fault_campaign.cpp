@@ -176,9 +176,7 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_pair(core::BackendKind::kStfq, 1u),
         std::make_pair(core::BackendKind::kStfq, 32u),
         std::make_pair(core::BackendKind::kEiffel, 1u),
-        std::make_pair(core::BackendKind::kEiffel, 32u),
-        std::make_pair(core::BackendKind::kSpPifo, 1u),
-        std::make_pair(core::BackendKind::kSpPifo, 32u)),
+        std::make_pair(core::BackendKind::kEiffel, 32u)),
     [](const ::testing::TestParamInfo<std::pair<core::BackendKind, unsigned>>&
            info) {
       return std::string(core::backend_kind_name(info.param.first)) +

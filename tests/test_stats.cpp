@@ -36,23 +36,6 @@ TEST(Ewma, ResetClears) {
   EXPECT_DOUBLE_EQ(e.value(), 0.0);
 }
 
-TEST(RateMeter, MeasuresSteadyRate) {
-  RateMeter m(sim::milliseconds(1));
-  // 1 MB/ms = 8 Gbps, in 1000-byte packets.
-  for (int i = 0; i < 10000; ++i) m.add(i * 1000, 1000);
-  EXPECT_NEAR(m.rate(10'000'000).gbps(), 8.0, 0.5);
-  EXPECT_EQ(m.total_packets(), 10000u);
-  EXPECT_EQ(m.total_bytes(), 10'000'000u);
-}
-
-TEST(RateMeter, DecaysWhenIdle) {
-  RateMeter m(sim::milliseconds(1));
-  for (int i = 0; i < 1000; ++i) m.add(i * 1000, 1000);
-  const double busy = m.rate(sim::milliseconds(1)).gbps();
-  EXPECT_GT(busy, 1.0);
-  EXPECT_LT(m.rate(sim::milliseconds(50)).gbps(), 0.1);
-}
-
 TEST(ThroughputSeries, BinsBytes) {
   ThroughputSeries s(sim::milliseconds(100));
   s.add(sim::milliseconds(50), 1000);
@@ -106,18 +89,6 @@ TEST(LatencyStats, SingleSample) {
   EXPECT_DOUBLE_EQ(l.stddev_us(), 0.0);
   EXPECT_DOUBLE_EQ(l.percentile_us(0), 42.0);
   EXPECT_DOUBLE_EQ(l.percentile_us(100), 42.0);
-}
-
-TEST(PacketCountersTest, Accounting) {
-  PacketCounters c;
-  c.on_offered(100);
-  c.on_offered(100);
-  c.on_forwarded(100);
-  c.on_dropped(100);
-  EXPECT_EQ(c.offered_packets, 2u);
-  EXPECT_EQ(c.forwarded_bytes, 100u);
-  EXPECT_DOUBLE_EQ(c.drop_fraction(), 0.5);
-  EXPECT_DOUBLE_EQ(PacketCounters{}.drop_fraction(), 0.0);
 }
 
 TEST(TablePrinterTest, AlignsColumns) {
