@@ -126,9 +126,11 @@ double pipeline_once(sim::SchedulerKind kind, sim::SimTime horizon,
                      double* pps_out) {
   np::NpConfig cfg = np::agilio_cx_40g();
   cfg.num_workers = 50;
-  // This bench measures EVENT KERNEL throughput, so the workload must stay
-  // one-event-per-packet; the batched data path (batch_size > 1) collapses
-  // events ~20x and would turn this into a (much lighter) pipeline bench.
+  // This bench measures EVENT KERNEL throughput, so it pins one-packet
+  // bursts: every packet still costs a worker-completion event and a drain
+  // event (~3 events/packet with traffic generation), while full bursts
+  // collapse events ~20x and would turn this into a (much lighter)
+  // pipeline bench.
   cfg.batch_size = 1;
   sim::Simulator sim(kind);
   core::FlowValveEngine engine(np::engine_options_for(cfg));

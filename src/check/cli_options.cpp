@@ -61,7 +61,7 @@ void cli_usage() {
       "  --expect-violations exit 0 iff at least one seed reports violations\n"
       "  --horizon-ms M      override scenario horizon\n"
       "  --batch N           force NpConfig::batch_size for every run\n"
-      "                      (1 = legacy per-packet path; 0 = scenario's own\n"
+      "                      (1 = one-packet bursts; 0 = scenario's own\n"
       "                      seed-derived burst size, the default)\n"
       "  --backend K         force the scheduling discipline for every run:\n"
       "                      fv (default tree) | stfq | eiffel\n"

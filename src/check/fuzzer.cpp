@@ -150,8 +150,8 @@ FuzzScenario generate_scenario(std::uint64_t seed) {
       sim::microseconds(1 + static_cast<std::int64_t>(nic_rng.next_below(50)));
   // Worker burst size, drawn from its own split so every other scenario
   // field is unchanged for a given seed. The set straddles the interesting
-  // boundaries: the legacy per-packet path, a tiny burst, and one packet
-  // either side of the default 32 (short trailing bursts / exact fill).
+  // boundaries: one-packet bursts, a tiny burst, and one packet either side
+  // of the default 32 (short trailing bursts / exact fill).
   Rng batch_rng = root_rng.split("batch");
   const unsigned batch_choices[] = {1, 2, 31, 32, 33};
   sc.nic.batch_size = batch_choices[batch_rng.next_below(5)];

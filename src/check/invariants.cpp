@@ -177,8 +177,10 @@ class OrderingChecker final : public InvariantChecker {
 // ------------------------------------------------------------ timestamps --
 
 /// Packet lifecycle timestamps are monotone within a packet, the wire emits
-/// frames in nondecreasing time order, and the fixed pipeline delay between
-/// last-bit-on-wire and receiver observation is honored exactly.
+/// frames in nondecreasing time order, the fixed pipeline delay between
+/// last-bit-on-wire and receiver observation is honored exactly, and no
+/// frame is reported on the wire or delivered before its stamp (batched
+/// drains and coalesced delivery may only report late).
 class TimestampChecker final : public InvariantChecker {
  public:
   explicit TimestampChecker(sim::SimDuration fixed_delay)
@@ -187,6 +189,9 @@ class TimestampChecker final : public InvariantChecker {
   std::string_view name() const override { return "timestamps"; }
 
   void on_wire_tx(const net::Packet& pkt, sim::SimTime now) override {
+    if (now < pkt.wire_tx_done)
+      fail(now, "packet " + fmt_u64(pkt.id) + " reported on the wire before "
+                    "its wire_tx_done " + std::to_string(pkt.wire_tx_done));
     if (pkt.wire_tx_done < last_wire_)
       fail(now, "wire_tx_done went backwards: " + fmt_u64(pkt.wire_tx_done) +
                     " after " + fmt_u64(last_wire_));
@@ -194,6 +199,9 @@ class TimestampChecker final : public InvariantChecker {
   }
 
   void on_delivered(const net::Packet& pkt, sim::SimTime now) override {
+    if (now < pkt.delivered_at)
+      fail(now, "packet " + fmt_u64(pkt.id) + " delivered before its "
+                    "delivered_at " + std::to_string(pkt.delivered_at));
     const bool monotone = pkt.created_at <= pkt.nic_arrival &&
                           pkt.nic_arrival <= pkt.tx_enqueue &&
                           pkt.tx_enqueue <= pkt.wire_tx_done &&

@@ -6,8 +6,9 @@
 //                       flight while running, exactly 0 of it at drain)
 //   ordering            per-VF FIFO delivery and per-flow sequence order
 //                       through the reorder system (Fig. 4)
-//   timestamps          packet lifecycle timestamps are monotone and the
-//                       fixed pipeline delay is honored exactly
+//   timestamps          packet lifecycle timestamps are monotone, the
+//                       fixed pipeline delay is honored exactly, and no
+//                       frame is reported on the wire or delivered early
 //   wire-conformance    cumulative wire bytes never exceed line rate —
 //                       the shared FIFO's drain is the paper's F0 budget
 //   worker-exclusivity  run-to-completion busy intervals of one micro-

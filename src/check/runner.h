@@ -62,9 +62,9 @@ struct RunOptions {
   /// epoch-confinement and swap-conservation checkers ride along.
   unsigned reconfig_updates = 0;
   /// If > 0, overrides the scenario's NpConfig::batch_size — the knob the
-  /// batched-vs-unbatched differential oracle turns: the same seed run at
-  /// batch_size 1 (legacy per-packet path) and 32 must agree on every
-  /// invariant and on its delivery/drop accounting.
+  /// burst-size differential oracle turns: the same seed run at batch_size
+  /// 1 (one-packet bursts) and 32 must agree on every invariant and on its
+  /// delivery/drop accounting.
   unsigned batch_size = 0;
   /// If set, overrides the scenario's seed-derived scheduling discipline
   /// (NpConfig::backend) — the knob behind `fuzz_check --backend`: the same

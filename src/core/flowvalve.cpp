@@ -36,13 +36,6 @@ void FlowValveEngine::process_batch(BatchEntry* entries, std::size_t n,
   Classifier& cls = frontend_.classifier();
   batch_groups_.clear();
 
-  // Scheduler-replay window: the decision taken for the immediately
-  // preceding entry, valid only while the run of same-flow packets is
-  // unbroken (an interleaved flow's borrow walk could refill buckets the
-  // replay assumes unchanged).
-  bool prev_scheduled = false;
-  SchedDecision prev_d;
-
   for (std::size_t i = 0; i < n; ++i) {
     net::Packet& pkt = *entries[i].pkt;
     Result r;
@@ -78,23 +71,10 @@ void FlowValveEngine::process_batch(BatchEntry* entries, std::size_t n,
       r.verdict = Verdict::kDrop;
       entries[i].result = r;
       if (process_observer_) process_observer_(pkt, r, now);
-      prev_scheduled = false;
       continue;
     }
 
-    SchedDecision d;
-    const bool same_flow_as_prev =
-        i > 0 && entries[i - 1].pkt->vf_port == pkt.vf_port &&
-        entries[i - 1].pkt->tuple == pkt.tuple;
-    if (prev_scheduled && same_flow_as_prev &&
-        sched_->repeat_applicable(*entries[i - 1].pkt, pkt, prev_d)) {
-      d = sched_->repeat_tail_drop(pkt, now, prev_d);
-    } else {
-      d = sched_->schedule(pkt, now);
-    }
-    prev_scheduled = true;
-    prev_d = d;
-
+    const SchedDecision d = sched_->schedule(pkt, now);
     r.cycles += d.cycles;
     r.verdict = d.verdict;
     r.borrowed = d.borrowed;

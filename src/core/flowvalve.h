@@ -61,18 +61,15 @@ class FlowValveEngine {
   /// Process a worker burst at one instant, in order, filling each entry's
   /// result. Produces exactly what per-packet process() calls at the same
   /// instant would (tests/test_core_burst_exact.cpp holds it to that) while
-  /// amortizing the per-flow work real NP firmware amortizes across a burst:
-  ///  - EMC lookups: the 2nd..Nth packet of a flow replays the flow's first
-  ///    classification (a guaranteed same-tick cache hit) instead of
-  ///    re-probing — valid only while the cache's mutation stamp is
-  ///    unchanged, since any insert or eviction could displace the entry.
-  ///    The replay still runs the lookup epilogue (Classifier::
-  ///    classify_repeat), so the cache ends in the per-packet state.
-  ///  - Tail drops: a packet whose burst-predecessor (same flow, adjacent
-  ///    in pull order) took a pure borrow-free tail drop replays that
-  ///    decision instead of re-walking the tree (SchedulingFunction
-  ///    documents why that is a pure replay).
-  /// The process observer fires once per entry, exactly as per-packet.
+  /// amortizing the EMC lookups real NP firmware amortizes across a burst:
+  /// the 2nd..Nth packet of a flow replays the flow's first classification
+  /// (a guaranteed same-tick cache hit) instead of re-probing — valid only
+  /// while the cache's mutation stamp is unchanged, since any insert or
+  /// eviction could displace the entry. The replay still runs the lookup
+  /// epilogue (Classifier::classify_repeat), so the cache ends in the
+  /// per-packet state. Every labeled packet then runs the backend's full
+  /// schedule(). The process observer fires once per entry, exactly as
+  /// per-packet.
   void process_batch(BatchEntry* entries, std::size_t n, sim::SimTime now);
 
   /// Passive tap fired once per processed packet with the labeled packet

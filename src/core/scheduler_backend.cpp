@@ -34,15 +34,13 @@ SchedulerBackend::SchedulerBackend(SchedulingTree& tree,
 }
 
 std::uint32_t SchedulerBackend::maybe_update(ClassId id, sim::SimTime now,
-                                             std::uint32_t pkt_epoch,
-                                             SchedDecision& d) {
+                                             std::uint32_t pkt_epoch) {
   SchedClass& c = tree_.at(id);
   std::uint32_t cycles = 0;
   const bool wants_commit = tree_.rollout_active() && c.has_staged &&
                             pkt_epoch >= tree_.staged_epoch();
   if (!wants_commit && now - c.last_update < tree_.params().update_interval) return cycles;
   cycles += costs_.lock_attempt_cycles;
-  ++d.lock_attempts;
   if (c.update_lock.try_acquire(now, costs_.lock_hold_ns)) {
     if (wants_commit) {
       // A packet from a cut-over worker pulls the staged policy in under the
@@ -54,7 +52,6 @@ std::uint32_t SchedulerBackend::maybe_update(ClassId id, sim::SimTime now,
     }
     tree_.update_class(id, now);
     cycles += costs_.update_cycles;
-    ++d.updates_run;
     ++stats_.updates;
   } else {
     // Another core is updating this class right now; we only meter
@@ -72,7 +69,7 @@ void SchedulerBackend::walk_path(const QosLabel& label, net::Packet& pkt,
 
   // Lines 1-5: walk the hierarchy class label, refreshing token buckets.
   for (ClassId id : label.path) {
-    d.cycles += maybe_update(id, now, pkt.policy_epoch, d);
+    d.cycles += maybe_update(id, now, pkt.policy_epoch);
     d.cycles += costs_.count_cycles;
   }
 }
@@ -82,22 +79,6 @@ void SchedulerBackend::book_drop(ClassId leaf, const net::Packet& pkt) {
   ++leaf_cls.drop_packets;
   leaf_cls.drop_bytes += pkt.wire_bytes;
   ++stats_.dropped;
-}
-
-SchedDecision SchedulerBackend::repeat_tail_drop(net::Packet& pkt,
-                                                 sim::SimTime now,
-                                                 const SchedDecision& prev) {
-  assert(pkt.label != net::kUnclassified && "packet must be labeled first");
-  assert(prev.verdict == Verdict::kDrop && !prev.borrowed &&
-         prev.updates_run == 0 && !tree_.rollout_active());
-  (void)now;
-  const QosLabel& label = labels_.get(pkt.label);
-  // With updates_run == 0 every lock attempt the predecessor made was a
-  // failure, and a lock held past `now` fails identically for this packet's
-  // same-instant attempts — re-book them without touching the locks.
-  stats_.lock_failures += prev.lock_attempts;
-  book_drop(label.path.back(), pkt);
-  return prev;
 }
 
 }  // namespace flowvalve::core

@@ -65,11 +65,7 @@ struct SchedulerCosts {
 struct SchedDecision {
   Verdict verdict = Verdict::kDrop;
   std::uint32_t cycles = 0;
-  bool metered_green = false;   // leaf bucket had tokens (FlowValve only)
-  bool borrowed = false;        // forwarded via a lender's shadow bucket
-  ClassId borrowed_from = kNoClass;
-  std::uint32_t updates_run = 0;    // classes whose update we executed
-  std::uint32_t lock_attempts = 0;  // try-locks attempted (won or lost)
+  bool borrowed = false;  // forwarded via a lender's shadow bucket
 };
 
 class SchedulerBackend {
@@ -83,19 +79,6 @@ class SchedulerBackend {
   /// touch + root→leaf update walk under try-locks); only the verdict logic
   /// differs.
   virtual SchedDecision schedule(net::Packet& pkt, sim::SimTime now) = 0;
-
-  /// Burst replay (see SchedulingFunction for the full argument): callers
-  /// may re-apply a predecessor's decision for the next same-flow packet of
-  /// one burst iff repeat_applicable() says the replay is pure. The default
-  /// is "never applicable" — rank backends mutate virtual-time state on
-  /// every call, so each packet must run the full discipline.
-  virtual bool repeat_applicable(const net::Packet& /*prev_pkt*/,
-                                 const net::Packet& /*pkt*/,
-                                 const SchedDecision& /*prev*/) const {
-    return false;
-  }
-  virtual SchedDecision repeat_tail_drop(net::Packet& pkt, sim::SimTime now,
-                                         const SchedDecision& prev);
 
   /// Aggregate statistics. The first block is discipline-generic; the rank
   /// block stays zero under the FlowValve backend (src/obs exports both).
@@ -129,8 +112,7 @@ class SchedulerBackend {
   /// per-class cutover riding the paper's try-lock cycle budget). This is
   /// the contention structure every backend shares — which is also what
   /// keeps the ctrl-plane epoch rollout working under any discipline.
-  std::uint32_t maybe_update(ClassId id, sim::SimTime now,
-                             std::uint32_t pkt_epoch, SchedDecision& d);
+  std::uint32_t maybe_update(ClassId id, sim::SimTime now, std::uint32_t pkt_epoch);
 
   /// Shared prologue: record activity, then walk the hierarchy class label
   /// root→leaf running maybe_update + the atomic per-class count.

@@ -24,7 +24,6 @@ SchedDecision SchedulingFunction::schedule(net::Packet& pkt, sim::SimTime now) {
   const std::uint32_t charge = pkt.wire_occupancy_bytes();
   d.cycles += costs_.meter_cycles;
   if (tree_.at(leaf).bucket.meter(charge) == MeterColor::kGreen) {
-    d.metered_green = true;
     d.verdict = Verdict::kForward;
     tree_.count_forwarded(label.path, charge);
     ++stats_.forwarded;
@@ -35,12 +34,11 @@ SchedDecision SchedulingFunction::schedule(net::Packet& pkt, sim::SimTime now) {
   // the lender's epoch on the way (borrower-driven updates keep idle
   // lenders' lendable rates live).
   for (ClassId lender : label.borrow) {
-    d.cycles += maybe_update(lender, now, pkt.policy_epoch, d);
+    d.cycles += maybe_update(lender, now, pkt.policy_epoch);
     d.cycles += costs_.borrow_query_cycles;
     if (tree_.at(lender).shadow.meter(charge) == MeterColor::kGreen) {
       d.verdict = Verdict::kForward;
       d.borrowed = true;
-      d.borrowed_from = lender;
       tree_.count_forwarded(label.path, charge);
       SchedClass& leaf_cls = tree_.at(leaf);
       ++leaf_cls.borrowed_packets;

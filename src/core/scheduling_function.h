@@ -28,26 +28,6 @@ class SchedulingFunction final : public SchedulerBackend {
 
   /// Algorithm 1. `now` is the virtual time at which the worker core runs.
   SchedDecision schedule(net::Packet& pkt, sim::SimTime now) override;
-
-  /// Amortized replay for the 2nd..Nth same-flow packet of one worker burst
-  /// whose burst-predecessor's decision `prev` (same label, same wire
-  /// occupancy, same `now`) was a borrow-free tail drop that ran no
-  /// updates. Under those gates a full schedule() call is a pure replay —
-  /// touch is idempotent at the same instant, every maybe_update is gated
-  /// off (interval unelapsed and no rollout commit pending; a lock held
-  /// past `now` fails identically for every same-instant attempt with the
-  /// same cycle count), the empty leaf bucket cannot refill within the
-  /// instant, and the borrow walk re-queries the same empty shadows — so
-  /// only the drop bookkeeping is re-run. Callers must check
-  /// repeat_applicable() first.
-  bool repeat_applicable(const net::Packet& prev_pkt, const net::Packet& pkt,
-                         const SchedDecision& prev) const override {
-    return prev.verdict == Verdict::kDrop && !prev.borrowed &&
-           prev.updates_run == 0 && !tree_.rollout_active() &&
-           pkt.wire_occupancy_bytes() == prev_pkt.wire_occupancy_bytes() &&
-           pkt.label == prev_pkt.label &&
-           pkt.policy_epoch == prev_pkt.policy_epoch;
-  }
 };
 
 }  // namespace flowvalve::core

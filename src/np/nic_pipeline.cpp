@@ -394,19 +394,18 @@ void NicPipeline::reorder_committed() {
   ++reorder_count_;
   stats_.reorder_occupancy_peak =
       std::max<std::uint64_t>(stats_.reorder_occupancy_peak, reorder_count_);
+  reorder_advance();
+}
+
+void NicPipeline::reorder_advance() {
   if (!reorder_frozen_) {
     release_reorder_prefix();
     // Capacity cap: a stalled hole (e.g. a leaked completion) must not grow
-    // the buffer without bound. Declare the missing head sequence(s) lost —
-    // dropping any occupant still alive on a worker or in the retry queue
-    // BEFORE survivors behind it release — then jump the release pointer to
-    // the oldest buffered completion and drain.
+    // the buffer without bound, so the missing head sequence(s) are
+    // declared lost.
     while (reorder_count_ > config_.reorder_capacity) {
       ++stats_.reorder_flushes;
-      const std::uint64_t head = oldest_buffered_seq();
-      doom_flushed_range(head, DropReason::kReorderFlush);
-      next_release_seq_ = head;
-      release_reorder_prefix();
+      skip_reorder_hole(DropReason::kReorderFlush);
     }
   }
   update_hole_tracking();
@@ -481,17 +480,16 @@ void NicPipeline::reorder_timeout_flush() {
   if (reorder_timeout_ <= 0 || reorder_frozen_ || !hole_active_) return;
   if (sim_.now() - hole_since_ < reorder_timeout_) return;
   if (reorder_count_ == 0) return;  // hole closed since the last commit
-  const std::uint64_t head = oldest_buffered_seq();
-  // The hole [next_release_seq_, head) aged out: its slots are declared
-  // lost and any live occupant is dropped before survivors release.
-  doom_flushed_range(head, DropReason::kReorderTimeout);
   ++stats_.reorder_timeout_flushes;
-  next_release_seq_ = head;
-  release_reorder_prefix();
+  skip_reorder_hole(DropReason::kReorderTimeout);
   update_hole_tracking();
 }
 
-void NicPipeline::doom_flushed_range(std::uint64_t head, DropReason reason) {
+void NicPipeline::skip_reorder_hole(DropReason reason) {
+  // The hole runs up to the oldest buffered completion. Its live occupants
+  // are dropped BEFORE the survivors behind it release, so a drop always
+  // precedes the deliveries that overtake it.
+  const std::uint64_t head = oldest_buffered_seq();
   for (WorkerCtx& ctx : workers_) {
     if (ctx.state != WorkerCtx::State::kBusy) continue;
     for (BurstItem& item : ctx.burst) {
@@ -511,6 +509,8 @@ void NicPipeline::doom_flushed_range(std::uint64_t head, DropReason reason) {
       ++it;
     }
   }
+  next_release_seq_ = head;
+  release_reorder_prefix();
 }
 
 void NicPipeline::tx_admit(net::Packet pkt) {
@@ -532,12 +532,17 @@ std::size_t NicPipeline::effective_tx_capacity() const {
 void NicPipeline::arm_tx_drain() {
   if (tx_draining_ || tx_ring_.empty() || wire_factor_ <= 0.0) return;
   tx_draining_ = true;
-  if (config_.batch_size <= 1) {
-    // Legacy single-frame path: one event per frame, wire_tx_done stamped
-    // at the completion instant. Kept bit-identical as the batch-1 side of
-    // the differential oracle.
-    const auto& head = tx_ring_.front();
-    const std::uint32_t occ = head.wire_occupancy_bytes();
+  // The traffic manager serializes up to batch_size queued frames under ONE
+  // event. Each frame's wire_tx_done is computed analytically NOW, at arm
+  // time, with the current wire_factor — a mid-batch wire dip cannot
+  // retroactively corrupt timestamps the wire model already committed to
+  // (the batch in flight finishes at the rate it started at).
+  const std::size_t frames =
+      std::min<std::size_t>(tx_ring_.size(), config_.batch_size);
+  sim::SimTime t = sim_.now();
+  for (std::size_t i = 0; i < frames; ++i) {
+    net::Packet& pkt = tx_ring_[i];
+    const std::uint32_t occ = pkt.wire_occupancy_bytes();
     sim::SimDuration ser;
     if (wire_factor_ == 1.0 && occ == ser_cache_bytes_) {
       // Uniform traffic hits this memo every time; the double divide in
@@ -552,67 +557,14 @@ void NicPipeline::arm_tx_drain() {
         ser_cache_delay_ = ser;
       }
     }
-    sim_.schedule_after(ser, [this] { tx_drain_complete(); });
-    return;
-  }
-  // Batched traffic manager: serialize up to batch_size queued frames under
-  // ONE event. Each frame's wire_tx_done is computed analytically NOW, at
-  // arm time, with the current wire_factor — a mid-batch wire dip cannot
-  // retroactively corrupt timestamps the wire model already committed to
-  // (the batch in flight finishes at the rate it started at, the same way
-  // the legacy path lets the frame currently serializing finish).
-  const std::size_t frames =
-      std::min<std::size_t>(tx_ring_.size(), config_.batch_size);
-  sim::SimTime t = sim_.now();
-  for (std::size_t i = 0; i < frames; ++i) {
-    net::Packet& pkt = tx_ring_[i];
-    const std::uint32_t occ = pkt.wire_occupancy_bytes();
-    sim::SimDuration ser;
-    if (wire_factor_ == 1.0 && occ == ser_cache_bytes_) {
-      ser = ser_cache_delay_;
-    } else {
-      ser = config_.wire_rate.serialization_delay(occ);
-      if (wire_factor_ < 1.0) {
-        ser = static_cast<sim::SimDuration>(static_cast<double>(ser) / wire_factor_ + 0.5);
-      } else {
-        ser_cache_bytes_ = occ;
-        ser_cache_delay_ = ser;
-      }
-    }
     t += ser;
     pkt.wire_tx_done = t;
   }
-  tx_inflight_frames_ = frames;
   sim_.schedule_at(t, [this, frames] { tx_drain_batch_complete(frames); });
-}
-
-void NicPipeline::tx_drain_complete() {
-  assert(!tx_ring_.empty());
-  // Timestamp the head in place, then move it straight from the ring into
-  // the delivery closure — no intermediate Packet copy.
-  net::Packet& head = tx_ring_.front();
-  tx_draining_ = false;
-  --in_flight_;
-
-  head.wire_tx_done = sim_.now();
-  ++stats_.forwarded_to_wire;
-  stats_.wire_bytes += head.wire_bytes;
-  if (observer_) observer_->on_wire_tx(head, sim_.now());
-
-  // Deliver after the fixed pipeline constant (reorder system, internal
-  // queueing, receiver-side capture path).
-  sim_.schedule_after(config_.fixed_pipeline_delay, [this, pkt = std::move(head)]() mutable {
-    pkt.delivered_at = sim_.now();
-    if (observer_) observer_->on_delivered(pkt, sim_.now());
-    deliver(pkt);
-  });
-  tx_ring_.pop_front();
-  arm_tx_drain();
 }
 
 void NicPipeline::tx_drain_batch_complete(std::size_t frames) {
   tx_draining_ = false;
-  tx_inflight_frames_ = 0;
   // The first `frames` ring entries are exactly the ones stamped at arm
   // time: drains are the only pops and this event is the only drain in
   // flight, so nothing overtook them. Account + hand each to the coalesced
@@ -945,16 +897,7 @@ void NicPipeline::fault_freeze_reorder(bool frozen) {
     hole_active_ = false;
     return;
   }
-  release_reorder_prefix();
-  while (reorder_count_ > config_.reorder_capacity) {
-    ++stats_.reorder_flushes;
-    const std::uint64_t head = oldest_buffered_seq();
-    doom_flushed_range(head, DropReason::kReorderFlush);
-    next_release_seq_ = head;
-    release_reorder_prefix();
-  }
-  update_hole_tracking();
-  maybe_arm_watchdog();
+  reorder_advance();
 }
 
 double NicPipeline::worker_utilization(sim::SimTime now) const {

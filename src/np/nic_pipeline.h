@@ -145,9 +145,13 @@ class PipelineObserver {
   /// the retry budget is gone or the slot already timed out — dropped).
   virtual void on_watchdog(const net::Packet&, unsigned /*worker*/,
                            std::uint64_t /*ingress_seq*/, sim::SimTime) {}
-  /// Last bit of the frame left on the wire.
+  /// Last bit of the frame left on the wire at pkt.wire_tx_done. Fires when
+  /// the frame's drain batch completes: at that instant or later, never
+  /// before.
   virtual void on_wire_tx(const net::Packet&, sim::SimTime) {}
-  /// Observed at the receiver (after the fixed pipeline delay).
+  /// Observed at the receiver at pkt.delivered_at (after the fixed pipeline
+  /// delay). Fires from the coalesced delivery flush: at that instant or
+  /// later, never before.
   virtual void on_delivered(const net::Packet&, sim::SimTime) {}
 };
 
@@ -352,16 +356,20 @@ class NicPipeline final : public net::EgressDevice {
   /// bypass) so the window can advance past it.
   void reorder_commit(std::uint64_t seq, net::Packet&& pkt);
   void reorder_commit_gap(std::uint64_t seq);
-  /// Shared tail of the commit paths: occupancy accounting, in-order
-  /// release, capacity flush, hole tracking.
+  /// Shared tail of the commit paths: occupancy accounting, then
+  /// reorder_advance.
   ReorderSlot& reorder_slot_for(std::uint64_t seq);
   void reorder_committed();
+  /// In-order release and the capacity cap (both skipped while frozen),
+  /// then hole tracking. Buffered commits and the unfreeze end here.
+  void reorder_advance();
   void release_reorder_prefix();
-  /// Drop every live occupant (worker-burst item or retry-queue entry) of
-  /// the hole [next_release_seq_, head) that a flush is about to skip, so
-  /// drops always precede the deliveries that overtake them. Every path
-  /// that jumps the release pointer past a hole must call this first.
-  void doom_flushed_range(std::uint64_t head, DropReason reason);
+  /// Declare the head-of-line hole [next_release_seq_, oldest buffered seq)
+  /// lost: drop every live occupant (worker-burst item or retry-queue
+  /// entry) with `reason`, jump the release pointer past the hole, and
+  /// release the now-in-order prefix. The only way the pointer skips a
+  /// hole, so drops always precede the deliveries that overtake them.
+  void skip_reorder_hole(DropReason reason);
   void update_hole_tracking();
   /// Oldest buffered (non-empty) sequence; precondition reorder_count_ > 0.
   std::uint64_t oldest_buffered_seq() const;
@@ -369,16 +377,14 @@ class NicPipeline final : public net::EgressDevice {
   /// preserves the old map's grow-without-bound semantics).
   void grow_reorder_ring(std::uint64_t seq);
   void tx_admit(net::Packet pkt);
-  /// Arm the traffic-manager drain. At batch_size == 1 this serializes one
-  /// frame per event (legacy). At batch_size > 1 it serializes up to
-  /// batch_size queued frames under ONE event, stamping each frame's
-  /// wire_tx_done analytically AT ARM TIME (so a mid-batch wire_factor
-  /// fault cannot corrupt timestamps already committed to the wire model).
+  /// Arm the traffic-manager drain: up to batch_size queued frames under
+  /// ONE event, each frame's wire_tx_done stamped analytically AT ARM TIME
+  /// (so a mid-batch wire_factor fault cannot corrupt timestamps already
+  /// committed to the wire model).
   void arm_tx_drain();
-  void tx_drain_complete();
   void tx_drain_batch_complete(std::size_t frames);
   /// Deliver every queued packet whose delivered_at ≤ now (coalesced
-  /// delivery: one event per drain batch, armed at the queue tail's
+  /// delivery: at most one flush event pending, armed at the queue tail's
   /// delivered_at), then re-arm for the new tail if any remains.
   void delivery_flush();
   void drop(const net::Packet& pkt, DropReason reason);
@@ -414,15 +420,14 @@ class NicPipeline final : public net::EgressDevice {
 
   sim::FixedRing<net::Packet> tx_ring_;
   bool tx_draining_ = false;
-  std::size_t tx_inflight_frames_ = 0;    // frames under the armed drain event
   std::uint32_t ser_cache_bytes_ = 0;     // memo: serialization_delay of the
   sim::SimDuration ser_cache_delay_ = 0;  // last wire occupancy (factor 1.0)
   double wire_factor_ = 1.0;          // injected wire dip (1 = healthy)
   std::size_t tx_capacity_override_ = 0;  // injected backpressure (0 = none)
 
-  // Coalesced receiver-side delivery (batch_size > 1): packets whose
-  // delivered_at is already stamped wait here for one flush event armed at
-  // the queue tail's delivered_at.
+  // Coalesced receiver-side delivery: packets whose delivered_at is already
+  // stamped wait here for one flush event armed at the queue tail's
+  // delivered_at.
   std::deque<net::Packet> delivery_queue_;
   bool delivery_armed_ = false;
 

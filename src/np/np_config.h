@@ -56,9 +56,10 @@ struct NpConfig {
   /// Worker burst size: an idle micro-engine pulls up to this many packets
   /// from the load balancer in one go (retries first, then round-robin over
   /// the VF rings), runs them back-to-back as one run-to-completion interval
-  /// and completes them with a single timing-wheel event. 1 recovers the
-  /// legacy one-packet-per-event path exactly (the differential oracle in
-  /// tests/test_np_batch_diff.cpp holds the two equivalent); 32 matches
+  /// and completes them with a single timing-wheel event; the traffic
+  /// manager drains up to this many frames per event. 1 is the one-packet
+  /// end of the same data path (the differential oracle in
+  /// tests/test_np_batch_diff.cpp holds every size equivalent); 32 matches
   /// what real NP/DPDK data paths move per burst.
   unsigned batch_size = 32;
 

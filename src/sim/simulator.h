@@ -76,8 +76,9 @@ class EventHandle {
 
 class Simulator {
  public:
-  /// Callbacks up to this size (the pipeline's delivery lambda captures a
-  /// whole net::Packet) execute without any heap allocation.
+  /// Callbacks up to this size (the wire and delivery lambdas of the
+  /// baseline schedulers and of the differential oracle's HTB device
+  /// capture a whole net::Packet) execute without any heap allocation.
   static constexpr std::size_t kInlineCallbackBytes = 128;
   using Callback = InlineCallback<kInlineCallbackBytes>;
 

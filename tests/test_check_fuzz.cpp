@@ -5,6 +5,7 @@
 // worthless).
 #include <gtest/gtest.h>
 
+#include "check/checker.h"
 #include "check/fuzzer.h"
 #include "check/runner.h"
 #include "fault/fault.h"
@@ -163,6 +164,40 @@ TEST(FuzzCheck, FaultFreeRerunOfFaultSeedIsClean) {
   // violation came from the fault, not the scenario.
   const CheckReport report = run_seed(1);
   EXPECT_TRUE(report.ok()) << report.summary();
+}
+
+// The batched drain and the coalesced delivery queue may report a frame
+// late, never early: a wire or delivery hook that fires before the stamp it
+// reports is one timestamps violation.
+TEST(FuzzCheck, TimestampsFlagFramesReportedEarly) {
+  sim::Simulator sim;
+  np::NullProcessor proc;
+  const np::NpConfig cfg;
+  np::NicPipeline pipeline(sim, cfg, proc);
+  CheckHarness harness(sim, pipeline, nullptr);
+  harness.add_standard_checkers();
+  const auto timestamp_violations = [&] {
+    std::size_t n = 0;
+    for (const Violation& v : harness.sink().violations())
+      if (v.checker == "timestamps") ++n;
+    return n;
+  };
+
+  net::Packet pkt;
+  pkt.id = 1;
+  pkt.wire_tx_done = sim::microseconds(2);
+  pkt.delivered_at = pkt.wire_tx_done + cfg.fixed_pipeline_delay;
+  harness.on_wire_tx(pkt, pkt.wire_tx_done);
+  harness.on_delivered(pkt, pkt.delivered_at);
+  ASSERT_EQ(timestamp_violations(), 0u);
+
+  pkt.id = 2;
+  pkt.wire_tx_done = sim::microseconds(4);
+  pkt.delivered_at = pkt.wire_tx_done + cfg.fixed_pipeline_delay;
+  harness.on_wire_tx(pkt, pkt.wire_tx_done - 1);
+  EXPECT_EQ(timestamp_violations(), 1u);
+  harness.on_delivered(pkt, pkt.delivered_at - 1);
+  EXPECT_EQ(timestamp_violations(), 2u);
 }
 
 }  // namespace

@@ -4,10 +4,11 @@
 // process-observer sequence, and all flow-cache and backend state. Each case
 // drives two identically configured engines, one a burst at a time and one
 // a packet at a time, under every backend, through the places where the
-// burst path replays work instead of redoing it:
+// burst path replays an EMC hit instead of probing the cache again:
 //   (i)   EMC hits replayed while idle eviction is on,
 //   (ii)  EMC hits replayed while the cache is degraded,
-//   (iii) tail drops of a saturated class replayed.
+//   (iii) EMC hits replayed while a saturated class tail-drops (every
+//         packet still runs the backend's full schedule()).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -223,8 +224,9 @@ TEST(BurstExact, DegradedCacheDwellCountsReplayedHits) {
 
 TEST(BurstExact, SaturatedClassTailDropsReplay) {
   // Bursts of 32 same-flow packets every microsecond offer ~260 Gbit/s to
-  // an 8 Gbit/s root: after borrowing runs dry, runs of same-flow tail drops
-  // are what the burst path replays.
+  // an 8 Gbit/s root: after borrowing runs dry, the burst path replays EMC
+  // hits for packets the scheduler then tail-drops, with lock attempts and
+  // bucket state evolving exactly as per-packet.
   for (BackendKind backend : kBackends) {
     SCOPED_TRACE(backend_kind_name(backend));
     Probe batched(backend, {});
@@ -232,7 +234,7 @@ TEST(BurstExact, SaturatedClassTailDropsReplay) {
     for (std::int64_t us = 1; us <= 300; ++us) {
       std::vector<net::Packet> burst = train(0, 1, 32);
       if (us % 3 == 0) {
-        // Break the same-flow run midway; the replay window must restart.
+        // Interleave a second flow midway; it gets its own flow group.
         burst[16] = packet(1, 2);
       }
       feed(batched, single, burst, sim::microseconds(us));

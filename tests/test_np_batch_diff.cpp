@@ -1,7 +1,9 @@
-// Differential oracle for the batched NP data path (ISSUE 6): the burst
-// pipeline at NpConfig::batch_size N must be behaviourally equivalent to
-// the legacy per-packet path it replaced (batch_size == 1), which stays
-// alive precisely so it can serve as the reference here.
+// Differential oracle for the batched NP data path: the burst pipeline at
+// NpConfig::batch_size N must be behaviourally equivalent to the same
+// pipeline at batch_size 1, where every worker burst and every drain batch
+// is one packet long — the per-packet processing the paper's
+// run-to-completion micro-engines perform. There is one implementation;
+// the oracle checks that burst size alone does not change what it does.
 //
 // Four tiers of evidence, strongest first:
 //   1. EXACT equivalence on a hand-built always-green scenario: leaf rates
@@ -17,7 +19,7 @@
 //   2. Zero invariant violations across the fuzz corpus at batch 1 and 32,
 //      including chaos (fault schedules) and live-reconfig runs: every
 //      checker (conservation, ordering, worker exclusivity, timestamps,
-//      epoch confinement) holds on both paths.
+//      epoch confinement) holds at both ends of the burst-size range.
 //   3. Tolerance-bounded delivered-throughput agreement between batch 1
 //      and 32 on the corpus (closed-loop senders react to latency shifts,
 //      so only approximate agreement is expected).
