@@ -433,9 +433,12 @@ class CeilConformanceChecker final : public InvariantChecker {
 /// rule walk on every hit catches wrong-label deliveries from any cache
 /// pathology — silent poison (fixed-up integrity tags), entries surviving a
 /// label-epoch bump, cuckoo kick paths dropping or duplicating entries, and
-/// degraded-mode readmission serving stale state. Each epoch it also audits
-/// the table's structural books: the occupancy histogram must sum to the
-/// bucket count and weigh out to exactly size() live entries ≤ capacity().
+/// degraded-mode readmission serving stale state. Each epoch in which the
+/// table mutated it also audits the table's structural books: the
+/// occupancy histogram must sum to the bucket count and weigh out to
+/// exactly size() live entries ≤ capacity(). Every path that sets or clears
+/// an entry's `valid` bit moves mutation_stamp(), so an unmoved stamp means
+/// the table is as the last audit found it.
 class CacheCoherenceChecker final : public InvariantChecker {
  public:
   explicit CacheCoherenceChecker(core::FlowValveEngine* engine)
@@ -459,6 +462,8 @@ class CacheCoherenceChecker final : public InvariantChecker {
   void on_epoch(const SystemView&, sim::SimTime now) override {
     if (engine_ == nullptr) return;
     const core::ExactMatchFlowCache& cache = engine_->classifier().cache();
+    if (cache.mutation_stamp() == audited_stamp_) return;
+    audited_stamp_ = cache.mutation_stamp();
     const auto hist = cache.occupancy_histogram();
     std::uint64_t buckets = 0;
     std::uint64_t entries = 0;
@@ -477,13 +482,10 @@ class CacheCoherenceChecker final : public InvariantChecker {
                     fmt_u64(cache.capacity()));
   }
 
-  void on_finish(const SystemView& v, sim::SimTime now) override {
-    on_epoch(v, now);
-  }
-
  private:
   core::FlowValveEngine* engine_;
   std::uint64_t hits_checked_ = 0;
+  std::uint64_t audited_stamp_ = ~std::uint64_t{0};  // none audited yet
 };
 
 }  // namespace

@@ -387,8 +387,8 @@ ExactMatchFlowCache::InsertOutcome ExactMatchFlowCache::insert(
 void ExactMatchFlowCache::clear() {
   std::fill(slots_.begin(), slots_.end(), Entry{});
   live_ = 0;
+  stamp_base_ = mutation_stamp() + 1;
   stats_ = Stats{};
-  ++clears_;
   health_ = Health::kHealthy;
   failure_score_ = 0;
   lookup_serial_ = 0;

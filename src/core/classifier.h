@@ -236,11 +236,13 @@ class ExactMatchFlowCache {
 
   /// Monotonic counter that changes whenever any resident entry could have
   /// been added, removed, or relabeled — the batched data path's replay
-  /// guard: an unchanged stamp means a previously-probed entry is still
-  /// resident and unmodified.
+  /// guard and the coherence audit's skip: an unchanged stamp means a
+  /// previously-probed entry is still resident and unmodified. It keeps
+  /// rising across clear(), which zeroes the stats it sums.
   std::uint64_t mutation_stamp() const {
-    return stats_.insertions + stats_.evictions + stats_.stale_invalidations +
-           stats_.idle_evictions + stats_.corruption_detected + clears_;
+    return stamp_base_ + stats_.insertions + stats_.evictions +
+           stats_.stale_invalidations + stats_.idle_evictions +
+           stats_.corruption_detected;
   }
 
   /// Buckets by live-slot count (index 0..kSlots) — the per-set occupancy
@@ -299,7 +301,7 @@ class ExactMatchFlowCache {
   std::size_t buckets_ = 0;
   std::size_t live_ = 0;
   Stats stats_;
-  std::uint64_t clears_ = 0;
+  std::uint64_t stamp_base_ = 0;  // mutation_stamp() carried over clear()
 
   // Degraded-mode state machine (lookup-driven, deterministic).
   Health health_ = Health::kHealthy;

@@ -45,6 +45,7 @@ void ChurnWorkload::start() {
   active_flag_ = true;
   flows_.reserve(config_.target_live_flows);
   for (std::size_t i = 0; i < config_.initial_flows; ++i) spawn_flow();
+  next_arrival_ = sim_.now();
   if (config_.flows_per_sec > 0.0) arm_arrival();
   arm_service();
 }
@@ -59,7 +60,6 @@ void ChurnWorkload::stop() {
 }
 
 void ChurnWorkload::spawn_flow() {
-  if (flows_.size() >= config_.target_live_flows) return;
   Flow f;
   f.spec.flow_id = ids_.next_flow_id();
   f.spec.app_id = config_.app_id;
@@ -73,16 +73,36 @@ void ChurnWorkload::spawn_flow() {
   flows_.push_back(std::move(f));
 }
 
-void ChurnWorkload::arm_arrival() {
+void ChurnWorkload::draw_arrival_gap() {
   const double mean_gap_ns = 1e9 / config_.flows_per_sec;
-  arrival_event_ = sim_.schedule_after(
-      std::max<sim::SimDuration>(
-          1, static_cast<sim::SimDuration>(rng_.exponential(mean_gap_ns))),
-      [this] {
-        if (!active_flag_) return;
-        spawn_flow();
-        arm_arrival();
-      });
+  next_arrival_ += std::max<sim::SimDuration>(
+      1, static_cast<sim::SimDuration>(rng_.exponential(mean_gap_ns)));
+  // Drawn now, so scheduled after the pending service: at a shared
+  // instant the service fires first.
+  arrival_precedes_service_ = false;
+}
+
+void ChurnWorkload::arm_arrival() {
+  draw_arrival_gap();
+  arrival_parked_ = flows_.size() >= config_.target_live_flows;
+  if (!arrival_parked_) schedule_arrival();
+}
+
+void ChurnWorkload::schedule_arrival() {
+  arrival_event_ = sim_.schedule_at(next_arrival_, [this] {
+    if (!active_flag_) return;
+    spawn_flow();
+    arm_arrival();
+  });
+}
+
+void ChurnWorkload::replay_parked_arrivals() {
+  // Each of these arrivals would have found the population at the cap, so
+  // all it did was draw the gap to its successor.
+  const sim::SimTime now = sim_.now();
+  while (arrival_parked_ && (next_arrival_ < now ||
+                             (next_arrival_ == now && arrival_precedes_service_)))
+    draw_arrival_gap();
 }
 
 void ChurnWorkload::arm_service() {
@@ -96,9 +116,11 @@ void ChurnWorkload::arm_service() {
       std::max<sim::SimDuration>(1, static_cast<sim::SimDuration>(gap_ns)),
       [this] {
         if (!active_flag_) return;
+        replay_parked_arrivals();
         service_next();
         arm_service();
       });
+  arrival_precedes_service_ = true;
 }
 
 void ChurnWorkload::service_next() {
@@ -117,6 +139,13 @@ void ChurnWorkload::service_next() {
   if (f.remaining_packets == 0) {
     router_.unregister_flow(f.spec.flow_id);
     ++flows_completed_;
+    // The pending arrival now finds room. It was drawn before this service
+    // fired, so scheduling it before arm_service() keeps it ahead of the
+    // next service at a shared instant.
+    if (arrival_parked_) {
+      arrival_parked_ = false;
+      schedule_arrival();
+    }
     // Swap-remove keeps the vector dense; the cursor stays put so the
     // swapped-in flow is serviced next visit.
     flows_[cursor_] = std::move(flows_.back());

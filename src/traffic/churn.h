@@ -4,6 +4,13 @@
 // them round-robin with short packet trains from ONE pending simulator
 // event — so 10^6 live flows cost 10^6 small structs, not 10^6 timers.
 //
+// While the population sits at its cap an arrival can only draw the gap to
+// the next one, so the arrival process parks instead of firing: the next
+// service event draws those gaps in order, and the service that completes
+// a flow re-arms the pending arrival. The rng sees the same draws in the
+// same order, so every spawn instant and packet is what an arrival event
+// per gap would give; only the simulator's event count differs.
+//
 // The aggregate send rate is fixed; what churn varies is how that rate is
 // spread across flows. More live flows ⇒ longer revisit period per flow ⇒
 // colder EMC entries ⇒ the flow cache, not the scheduler, becomes the
@@ -20,7 +27,8 @@
 namespace flowvalve::traffic {
 
 struct ChurnWorkloadConfig {
-  /// Live-flow ceiling: arrivals are suppressed while at it.
+  /// Live-flow ceiling: arrivals spawn nothing while at it (the arrival
+  /// process parks until a flow completes).
   std::size_t target_live_flows = 65536;
   /// Flows spawned immediately at start(). Defaults to the target so the
   /// sweep measures steady state, not ramp-up.
@@ -79,7 +87,14 @@ class ChurnWorkload final : public TrafficSource {
   };
 
   void spawn_flow();
+  /// Draws the gap to the next arrival and schedules it, or parks it while
+  /// the population is at the cap.
   void arm_arrival();
+  void schedule_arrival();
+  void draw_arrival_gap();
+  /// Draws the gaps of the parked arrivals an arrival event per gap would
+  /// have fired before the current service event.
+  void replay_parked_arrivals();
   void arm_service();
   void service_next();
 
@@ -96,6 +111,12 @@ class ChurnWorkload final : public TrafficSource {
   std::uint64_t serial_ = 0;  // unique five-tuple source
   sim::EventHandle arrival_event_;
   sim::EventHandle service_event_;
+  /// Instant of the pending arrival, scheduled or parked.
+  sim::SimTime next_arrival_ = 0;
+  bool arrival_parked_ = false;
+  /// Whether the pending arrival was drawn before the pending service was
+  /// scheduled, i.e. whether it fires first when both share an instant.
+  bool arrival_precedes_service_ = false;
 
   std::uint64_t flows_started_ = 0;
   std::uint64_t flows_completed_ = 0;

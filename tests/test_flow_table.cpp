@@ -249,6 +249,15 @@ TEST(FlowTable, MutationStampAdvancesOnEveryMutationClass) {
   EXPECT_TRUE(advanced()) << "idle eviction";
   cache.clear();
   EXPECT_TRUE(advanced()) << "clear";
+  // clear() zeroes the stats the stamp sums: one insert then a clear must
+  // still land on a stamp never seen before.
+  ExactMatchFlowCache fresh(ExactMatchFlowCache::Options{.capacity = 64});
+  const std::uint64_t before = fresh.mutation_stamp();
+  fresh.insert(0, tuple_n(0), 1, 1);
+  const std::uint64_t inserted = fresh.mutation_stamp();
+  fresh.clear();
+  EXPECT_GT(fresh.mutation_stamp(), inserted) << "insert then clear";
+  EXPECT_GT(inserted, before);
 }
 
 TEST(ClassifierRepeat, ReplayGuardRefusesAfterMidBurstEviction) {

@@ -197,6 +197,125 @@ TEST(ChurnWorkloadTest, SerialSchemeYieldsUniqueKeysAcrossVfs) {
   EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end());
 }
 
+/// FNV-1a over 64-bit words: the churn tests' fingerprint of a run.
+struct Fnv {
+  std::uint64_t h = 14695981039346656037ull;
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 1099511628211ull;
+    }
+  }
+};
+
+/// Sink that folds every packet created up to `horizon` into a digest and
+/// counts the distinct instants at which packets were submitted.
+class DigestSink final : public net::EgressDevice {
+ public:
+  DigestSink(sim::Simulator& sim, Fnv& digest, sim::SimTime horizon)
+      : sim_(sim), digest_(digest), horizon_(horizon) {}
+  bool submit(net::Packet pkt) override {
+    if (pkt.created_at <= horizon_) {
+      digest_.mix(pkt.id);
+      digest_.mix(pkt.flow_id);
+      digest_.mix(static_cast<std::uint64_t>(pkt.created_at));
+      digest_.mix(pkt.seq_in_flow);
+      digest_.mix((static_cast<std::uint64_t>(pkt.tuple.src_ip) << 32) |
+                  pkt.tuple.dst_ip);
+      digest_.mix((static_cast<std::uint64_t>(pkt.tuple.src_port) << 24) |
+                  (static_cast<std::uint64_t>(pkt.tuple.dst_port) << 8) |
+                  static_cast<std::uint64_t>(pkt.tuple.proto));
+      digest_.mix(pkt.vf_port);
+    }
+    if (instants_ == 0 || sim_.now() != last_) ++instants_;
+    last_ = sim_.now();
+    pkt.wire_tx_done = sim_.now();
+    pkt.delivered_at = sim_.now();
+    deliver(pkt);
+    return true;
+  }
+  std::uint64_t instants() const { return instants_; }
+
+ private:
+  sim::Simulator& sim_;
+  Fnv& digest_;
+  sim::SimTime horizon_;
+  std::uint64_t instants_ = 0;
+  sim::SimTime last_ = 0;
+};
+
+/// 64 live flows of 2..8 packets whose replacement arrivals far outpace
+/// completions, so the population sits at the cap and arrivals often land
+/// on the instant of a service event.
+ChurnWorkloadConfig at_cap_config(std::uint32_t train, std::uint32_t bytes,
+                                  double gbps, double arrivals_per_sec) {
+  ChurnWorkloadConfig cfg;
+  cfg.target_live_flows = 64;
+  cfg.min_packets = 2;
+  cfg.max_packets = 8;
+  cfg.train_length = train;
+  cfg.wire_bytes = bytes;
+  cfg.aggregate_rate = Rate::gigabits_per_sec(gbps);
+  cfg.flows_per_sec = arrivals_per_sec;
+  return cfg;
+}
+
+/// Steps the run event by event up to `horizon`, folding every change of
+/// flows_started() with its instant and every submitted packet into one
+/// digest: a fingerprint of each spawn instant and the packet stream.
+std::uint64_t churn_history_digest(const ChurnWorkloadConfig& cfg, sim::Rng rng,
+                                   sim::SimTime horizon) {
+  sim::Simulator sim;
+  Fnv digest;
+  DigestSink sink(sim, digest, horizon);
+  IdAllocator ids;
+  FlowRouter router(sink);
+  ChurnWorkload wl(sim, router, ids, cfg, rng);
+  wl.start();
+  std::uint64_t started = wl.flows_started();
+  while (sim.step() && sim.now() <= horizon) {
+    if (wl.flows_started() == started) continue;
+    started = wl.flows_started();
+    digest.mix(static_cast<std::uint64_t>(sim.now()));
+    digest.mix(started);
+  }
+  digest.mix(started);
+  return digest.h;
+}
+
+TEST(ChurnWorkloadTest, ParkedArrivalsKeepEverySpawnInstantAndPacket) {
+  // Digests recorded with an arrival event per gap (no parking). In the
+  // first run many spawns land on the instant of the service that
+  // completed a flow, after it. In the second, gaps also span whole
+  // service intervals, so an arrival drawn before a service was scheduled
+  // ties with it and fires first. Firing every tied arrival first, or
+  // every one second, changes a digest.
+  EXPECT_EQ(churn_history_digest(at_cap_config(4, 1518, 10, 5e8), sim::Rng(1),
+                                 sim::milliseconds(2)),
+            0xe906fad62e181651ull);
+  EXPECT_EQ(churn_history_digest(at_cap_config(2, 128, 100, 2e8), sim::Rng(3),
+                                 sim::milliseconds(1)),
+            0x1c36c186a555a827ull);
+}
+
+TEST(ChurnWorkloadTest, AtTheCapArrivalsCostNoEvents) {
+  // At the cap an arrival only draws its gap, so it must not cost an
+  // event: the run executes one event per service plus one per spawn.
+  sim::Simulator sim;
+  Fnv digest;
+  const sim::SimTime horizon = sim::milliseconds(5);
+  DigestSink sink(sim, digest, horizon);
+  IdAllocator ids;
+  FlowRouter router(sink);
+  const ChurnWorkloadConfig cfg = at_cap_config(4, 1518, 10, 5e8);
+  ChurnWorkload wl(sim, router, ids, cfg, sim::Rng(1));
+  wl.start();
+  const std::uint64_t events = sim.run_until(horizon);
+  const std::uint64_t spawns = wl.flows_started() - cfg.target_live_flows;
+  EXPECT_GT(spawns, 100u);
+  EXPECT_LE(events, sink.instants() + spawns + 2);
+}
+
 TEST(ChurnWorkloadTest, SameSeedSameChurnHistory) {
   const auto run = [] {
     sim::Simulator sim;
