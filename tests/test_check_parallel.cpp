@@ -125,6 +125,27 @@ TEST(ParallelCorpus, ThrowingSeedIsIsolated) {
   }
 }
 
+// The corpus digest fuzz_check prints is the same at any job count, and
+// one seed's report changing (or crashing) changes it.
+TEST(ParallelCorpus, DigestIsJobCountFreeAndSeesOneSeedChange) {
+  const std::vector<std::uint64_t> seeds = corpus(4);
+  RunOptions opts;
+  opts.chaos = true;
+  const std::vector<SeedOutcome> seq = run_corpus(seeds, opts, /*jobs=*/1);
+  const std::uint64_t digest = corpus_digest(seq);
+  EXPECT_EQ(corpus_digest(run_corpus(seeds, opts, /*jobs=*/2)), digest);
+
+  std::vector<SeedOutcome> changed = seq;
+  ++changed[2].report.events;
+  EXPECT_NE(corpus_digest(changed), digest);
+
+  std::vector<SeedOutcome> crashed = seq;
+  crashed[2].crashed = true;
+  crashed[2].crash_what = "boom";
+  crashed[2].report = CheckReport{};
+  EXPECT_NE(corpus_digest(crashed), digest);
+}
+
 // A seed that violates an invariant checker (injected packet leak) is not a
 // crash: it completes with a violation-carrying report, in its own slot,
 // while the other seeds stay clean — at any job count.
