@@ -1,13 +1,37 @@
 #include "harness.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "obs/export.h"
 
 namespace flowvalve::bench {
+
+namespace {
+
+/// `s` as a --jobs count: decimal or 0x-hex digits only (no sign, no
+/// blanks, no trailing junk) that fit an unsigned. Exits 2 otherwise.
+unsigned parse_jobs(const char* program, const char* s) {
+  char* end = nullptr;
+  errno = 0;
+  const bool digit = std::isdigit(static_cast<unsigned char>(s[0])) != 0;
+  const unsigned long long v = digit ? std::strtoull(s, &end, 0) : 0;
+  if (!digit || *end != '\0' || errno == ERANGE ||
+      v > std::numeric_limits<unsigned>::max()) {
+    std::cerr << program << ": --jobs wants an unsigned integer no larger than "
+              << std::numeric_limits<unsigned>::max() << ", got '" << s
+              << "'\n";
+    std::exit(2);
+  }
+  return static_cast<unsigned>(v);
+}
+
+}  // namespace
 
 Args parse_args(int argc, char** argv, const char* program,
                 const char* artifact, unsigned flags) {
@@ -23,7 +47,7 @@ Args parse_args(int argc, char** argv, const char* program,
       a.check = argv[++i];
     } else if ((flags & kJobs) && std::strcmp(argv[i], "--jobs") == 0 &&
                has_value) {
-      a.jobs = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 0));
+      a.jobs = parse_jobs(program, argv[++i]);
     } else {
       std::cerr << "usage: " << program << " [--out PATH] [--quick]"
                 << ((flags & kCheck) ? " [--check BASELINE.json]" : "")

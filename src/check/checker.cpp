@@ -18,19 +18,15 @@ void ViolationSink::report(std::string_view checker, sim::SimTime at,
   auto it = stored_per_checker_.find(checker);
   if (it == stored_per_checker_.end())
     it = stored_per_checker_.emplace(std::string(checker), 0).first;
-  if (it->second < cap_per_checker_) {
+  if (it->second < kCapPerChecker) {
     ++it->second;
     violations_.push_back({std::string(checker), at, std::move(detail)});
   }
 }
 
 CheckHarness::CheckHarness(sim::Simulator& sim, np::NicPipeline& pipeline,
-                           core::FlowValveEngine* engine, Options options)
-    : sim_(sim),
-      pipeline_(pipeline),
-      engine_(engine),
-      options_(options),
-      sink_(options.max_violations) {}
+                           core::FlowValveEngine* engine)
+    : sim_(sim), pipeline_(pipeline), engine_(engine) {}
 
 CheckHarness::~CheckHarness() {
   if (started_) pipeline_.set_observer(nullptr);
@@ -69,7 +65,7 @@ void CheckHarness::start() {
           for (auto& c : checkers_) c->on_engine_result(pkt, r, now);
         });
   }
-  epoch_timer_ = std::make_unique<sim::PeriodicTimer>(sim_, options_.epoch, [this] {
+  epoch_timer_ = std::make_unique<sim::PeriodicTimer>(sim_, kEpoch, [this] {
     observe_clock(sim_.now());
     const SystemView v = view();
     for (auto& c : checkers_) c->on_epoch(v, sim_.now());

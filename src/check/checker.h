@@ -38,8 +38,8 @@ struct Violation {
 /// violation another checker raises at finish time.
 class ViolationSink {
  public:
-  explicit ViolationSink(std::size_t cap_per_checker = 64)
-      : cap_per_checker_(cap_per_checker) {}
+  /// Violations stored per checker name (the total is still counted).
+  static constexpr std::size_t kCapPerChecker = 64;
 
   void report(std::string_view checker, sim::SimTime at, std::string detail);
 
@@ -48,7 +48,6 @@ class ViolationSink {
   bool clean() const { return total_ == 0; }
 
  private:
-  std::size_t cap_per_checker_;
   std::uint64_t total_ = 0;
   std::vector<Violation> violations_;
   std::map<std::string, std::size_t, std::less<>> stored_per_checker_;
@@ -105,16 +104,11 @@ class InvariantChecker {
 ///   harness.sink().clean()    // verdict
 class CheckHarness final : public np::PipelineObserver {
  public:
-  struct Options {
-    sim::SimDuration epoch = sim::milliseconds(1);
-    std::size_t max_violations = 64;
-  };
+  /// Period of the on_epoch sampling timer.
+  static constexpr sim::SimDuration kEpoch = sim::milliseconds(1);
 
   CheckHarness(sim::Simulator& sim, np::NicPipeline& pipeline,
-               core::FlowValveEngine* engine, Options options);
-  CheckHarness(sim::Simulator& sim, np::NicPipeline& pipeline,
-               core::FlowValveEngine* engine)
-      : CheckHarness(sim, pipeline, engine, Options{}) {}
+               core::FlowValveEngine* engine);
   ~CheckHarness() override;
 
   void add(std::unique_ptr<InvariantChecker> checker);
@@ -150,7 +144,6 @@ class CheckHarness final : public np::PipelineObserver {
   sim::Simulator& sim_;
   np::NicPipeline& pipeline_;
   core::FlowValveEngine* engine_;
-  Options options_;
   ViolationSink sink_;
   std::vector<std::unique_ptr<InvariantChecker>> checkers_;
   std::unique_ptr<sim::PeriodicTimer> epoch_timer_;

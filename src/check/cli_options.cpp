@@ -1,8 +1,11 @@
 #include "check/cli_options.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "core/scheduler_backend.h"
 
@@ -10,14 +13,27 @@ namespace flowvalve::check {
 
 namespace {
 
-std::uint64_t parse_u64(const char* s) {
-  return std::strtoull(s, nullptr, 0);  // base 0: accepts 0x... and decimal
-}
+/// --inject-fault's bug hits every this-many-th packet.
+constexpr std::uint64_t kInjectedFaultPeriod = 97;
 
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);  // exact round-trip
-  return buf;
+/// Parse `s` as the value of `flag`: decimal or 0x-prefixed hex digits and
+/// nothing else (no sign, no blanks, no trailing junk), at most `max`. On
+/// anything else names the flag on stderr and sets `bad`.
+std::uint64_t parse_u64(const char* flag, const char* s, std::uint64_t max,
+                        bool& bad) {
+  char* end = nullptr;
+  errno = 0;
+  const bool digit = std::isdigit(static_cast<unsigned char>(s[0])) != 0;
+  const unsigned long long v = digit ? std::strtoull(s, &end, 0) : 0;
+  if (!digit || *end != '\0' || errno == ERANGE || v > max) {
+    std::fprintf(stderr,
+                 "fuzz_check: %s wants an unsigned integer no larger than "
+                 "%llu, got '%s'\n",
+                 flag, static_cast<unsigned long long>(max), s);
+    bad = true;
+    return 0;
+  }
+  return v;
 }
 
 }  // namespace
@@ -35,18 +51,18 @@ void cli_usage() {
       "  --verify-sequential after a parallel run, re-run every seed\n"
       "                      sequentially and fail unless each report is\n"
       "                      bit-identical (the --jobs equivalence oracle)\n"
-      "  --differential      differential scenario family (FV vs HTB oracle)\n"
-      "  --tolerance F       differential share tolerance (default 0.1)\n"
-      "  --inject-fault K    deliberate pipeline bug: leak | bypass\n"
-      "  --every N           fault period for --inject-fault (default 97)\n"
+      "  --differential      differential scenario family (FV vs HTB oracle,\n"
+      "                      share tolerance 0.1)\n"
+      "  --inject-fault K    deliberate pipeline bug on every 97th packet:\n"
+      "                      leak | bypass\n"
       "  --chaos             arm a seed-derived fault schedule per run and\n"
       "                      check the pipeline survives + re-converges\n"
       "  --campaign          arm a seed-derived compound-fault campaign\n"
       "                      (overlapping island blackout / flapping worker /\n"
       "                      ctrl partition episodes) and hold the run to the\n"
-      "                      recovery SLO (bounded MTTR + reconvergence)\n"
-      "  --slo-bound-ms M    campaign per-episode MTTR bound (default:\n"
-      "                      probe deadline + 10 ms)\n"
+      "                      recovery SLO (per-episode MTTR within the\n"
+      "                      50 ms probe deadline + 10 ms, bounded share\n"
+      "                      reconvergence)\n"
       "  --storm K           arm a flow-table storm over the middle half of\n"
       "                      every run: collision | churn | both\n"
       "  --fault-event E     arm one explicit fault event (repeatable);\n"
@@ -67,51 +83,55 @@ void cli_usage() {
       "                      fv (default tree) | stfq | eiffel\n"
       "                      (unset = scenario's own seed-derived backend)\n"
       "  --scheduler K       event queue backend: wheel (default) | heap\n"
-      "  -v, --verbose       print the full scenario for every seed\n");
+      "  -v, --verbose       print every seed's scenario and faults as run\n"
+      "Numbers are decimal or 0x-hex; anything else exits 2. The closing\n"
+      "line ends in the corpus digest: equal digests from two builds mean\n"
+      "every seed's report is byte-identical.\n");
 }
 
 CliParseResult parse_cli(int argc, char** argv, CliOptions& out) {
+  constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t kUnsignedMax = std::numeric_limits<unsigned>::max();
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    bool missing = false;
+    bool bad = false;
     auto value = [&]() -> const char* {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "fuzz_check: %s needs a value\n", arg);
-        missing = true;
+        bad = true;
         return "";
       }
       return argv[++i];
     };
+    // The flag's value as a number no larger than `max`; a malformed one
+    // ends the parse like a missing one.
+    auto number = [&](std::uint64_t max) -> std::uint64_t {
+      const char* v = value();
+      return bad ? 0 : parse_u64(arg, v, max, bad);
+    };
     if (!std::strcmp(arg, "--seeds")) {
-      out.num_seeds = parse_u64(value());
+      out.num_seeds = number(kU64Max);
     } else if (!std::strcmp(arg, "--start")) {
-      out.start_seed = parse_u64(value());
+      out.start_seed = number(kU64Max);
     } else if (!std::strcmp(arg, "--seed")) {
-      out.start_seed = parse_u64(value());
+      out.start_seed = number(kU64Max);
       out.num_seeds = 1;
       out.single_seed = true;
     } else if (!std::strcmp(arg, "--jobs")) {
-      out.jobs = static_cast<unsigned>(parse_u64(value()));
+      out.jobs = static_cast<unsigned>(number(kUnsignedMax));
     } else if (!std::strcmp(arg, "--verify-sequential")) {
       out.verify_sequential = true;
     } else if (!std::strcmp(arg, "--differential")) {
       out.opts.differential = true;
-    } else if (!std::strcmp(arg, "--tolerance")) {
-      out.opts.share_tolerance = std::atof(value());
     } else if (!std::strcmp(arg, "--inject-fault")) {
       out.inject_fault = value();
-    } else if (!std::strcmp(arg, "--every")) {
-      out.fault_every = parse_u64(value());
     } else if (!std::strcmp(arg, "--chaos")) {
       out.opts.chaos = true;
     } else if (!std::strcmp(arg, "--campaign")) {
       out.opts.campaign = true;
-    } else if (!std::strcmp(arg, "--slo-bound-ms")) {
-      out.opts.slo_recovery_bound =
-          sim::milliseconds(static_cast<std::int64_t>(parse_u64(value())));
     } else if (!std::strcmp(arg, "--storm")) {
       const char* k = value();
-      if (missing) return CliParseResult::kError;
+      if (bad) return CliParseResult::kError;
       if (!std::strcmp(k, "collision")) {
         out.opts.storm_collision = true;
       } else if (!std::strcmp(k, "churn")) {
@@ -126,7 +146,7 @@ CliParseResult parse_cli(int argc, char** argv, CliOptions& out) {
       }
     } else if (!std::strcmp(arg, "--fault-event")) {
       const char* e = value();
-      if (missing) return CliParseResult::kError;
+      if (bad) return CliParseResult::kError;
       fault::FaultEvent ev;
       if (!fault::parse_fault_event(e, ev)) {
         std::fprintf(stderr,
@@ -139,17 +159,18 @@ CliParseResult parse_cli(int argc, char** argv, CliOptions& out) {
     } else if (!std::strcmp(arg, "--minimize")) {
       out.minimize = true;
     } else if (!std::strcmp(arg, "--reconfig")) {
-      out.opts.reconfig_updates = static_cast<unsigned>(parse_u64(value()));
+      out.opts.reconfig_updates = static_cast<unsigned>(number(kUnsignedMax));
     } else if (!std::strcmp(arg, "--expect-violations")) {
       out.expect_violations = true;
     } else if (!std::strcmp(arg, "--horizon-ms")) {
-      out.opts.horizon_override =
-          sim::milliseconds(static_cast<std::int64_t>(parse_u64(value())));
+      // The horizon is held in ns, so the millisecond count must fit.
+      out.opts.horizon_override = sim::milliseconds(static_cast<std::int64_t>(
+          number(sim::kSimTimeMax / sim::milliseconds(1))));
     } else if (!std::strcmp(arg, "--batch")) {
-      out.opts.batch_size = static_cast<unsigned>(parse_u64(value()));
+      out.opts.batch_size = static_cast<unsigned>(number(kUnsignedMax));
     } else if (!std::strcmp(arg, "--backend")) {
       const char* k = value();
-      if (missing) return CliParseResult::kError;
+      if (bad) return CliParseResult::kError;
       core::BackendKind kind = core::BackendKind::kFlowValve;
       if (!core::parse_backend_kind(k, kind)) {
         std::fprintf(
@@ -160,7 +181,7 @@ CliParseResult parse_cli(int argc, char** argv, CliOptions& out) {
       out.opts.backend = kind;
     } else if (!std::strcmp(arg, "--scheduler")) {
       const char* k = value();
-      if (missing) return CliParseResult::kError;
+      if (bad) return CliParseResult::kError;
       if (!std::strcmp(k, "heap")) {
         out.opts.scheduler = sim::SchedulerKind::kHeap;
       } else if (!std::strcmp(k, "wheel")) {
@@ -180,14 +201,24 @@ CliParseResult parse_cli(int argc, char** argv, CliOptions& out) {
       cli_usage();
       return CliParseResult::kError;
     }
-    if (missing) return CliParseResult::kError;
+    if (bad) return CliParseResult::kError;
+  }
+
+  // The corpus is seeds [start, start + seeds): the sum must fit.
+  if (out.num_seeds > kU64Max - out.start_seed) {
+    std::fprintf(stderr,
+                 "fuzz_check: --start 0x%llx + --seeds %llu does not fit in "
+                 "64 bits\n",
+                 static_cast<unsigned long long>(out.start_seed),
+                 static_cast<unsigned long long>(out.num_seeds));
+    return CliParseResult::kError;
   }
 
   if (!out.inject_fault.empty()) {
     fault::FaultEvent ev;  // permanent from t=0: the legacy injected bugs
     ev.at = 0;
     ev.duration = 0;
-    ev.period = static_cast<sim::SimDuration>(out.fault_every);
+    ev.period = static_cast<sim::SimDuration>(kInjectedFaultPeriod);
     if (out.inject_fault == "leak") {
       ev.kind = fault::FaultKind::kLeakCommit;
     } else if (out.inject_fault == "bypass") {
@@ -211,11 +242,6 @@ std::string common_flags(const CliOptions& cli) {
   const RunOptions& o = cli.opts;
   std::string s;
   if (o.differential) s += " --differential";
-  if (o.share_tolerance != def.share_tolerance)
-    s += " --tolerance " + format_double(o.share_tolerance);
-  if (o.slo_recovery_bound != def.slo_recovery_bound)
-    s += " --slo-bound-ms " +
-         std::to_string(o.slo_recovery_bound / sim::milliseconds(1));
   if (o.reconfig_updates > 0)
     s += " --reconfig " + std::to_string(o.reconfig_updates);
   if (o.horizon_override > 0)
@@ -247,11 +273,7 @@ std::string repro_command(const CliOptions& cli, std::uint64_t seed) {
          (cli.opts.storm_collision && cli.opts.storm_churn ? "both"
           : cli.opts.storm_collision                       ? "collision"
                                                            : "churn");
-  if (!cli.inject_fault.empty()) {
-    s += " --inject-fault " + cli.inject_fault;
-    if (cli.fault_every != CliOptions{}.fault_every)
-      s += " --every " + std::to_string(cli.fault_every);
-  }
+  if (!cli.inject_fault.empty()) s += " --inject-fault " + cli.inject_fault;
   // Explicit --fault-event tokens passed on the original command line (the
   // --inject-fault event is re-derived above, not re-emitted here).
   const std::size_t injected = cli.inject_fault.empty() ? 0 : 1;

@@ -23,9 +23,9 @@ struct CliOptions {
   /// removal to fixpoint; see minimize_schedule in runner.h).
   bool minimize = false;
   unsigned jobs = 1;
-  /// --inject-fault leak|bypass (empty ⇒ none) + its --every period.
+  /// --inject-fault leak|bypass (empty ⇒ none): a permanent bug hitting
+  /// every kInjectedFaultPeriod-th packet (cli_options.cpp).
   std::string inject_fault;
-  std::uint64_t fault_every = 97;
   /// Everything the runner itself consumes. --fault-event tokens land in
   /// opts.faults (parsed by fault::parse_fault_event).
   RunOptions opts;
@@ -34,7 +34,9 @@ struct CliOptions {
 enum class CliParseResult {
   kOk,     // parsed; run the corpus
   kHelp,   // --help printed; exit 0
-  kError,  // bad flag/value; message already on stderr; exit 2
+  kError,  // bad flag/value (unknown flag, missing value, or a number that
+           // is empty, signed, non-numeric, trailing junk, or out of range);
+           // message already on stderr; exit 2
 };
 
 void cli_usage();

@@ -6,13 +6,11 @@
 namespace flowvalve::check {
 
 ShareConvergenceChecker::ShareConvergenceChecker(
-    std::vector<double> expected_fractions, sim::SimTime from, sim::SimTime to,
-    double tolerance)
+    std::vector<double> expected_fractions, sim::SimTime from, sim::SimTime to)
     : expected_(std::move(expected_fractions)),
       bytes_(expected_.size(), 0),
       from_(from),
-      to_(to),
-      tolerance_(tolerance) {}
+      to_(to) {}
 
 void ShareConvergenceChecker::on_wire_tx(const net::Packet& pkt,
                                          sim::SimTime now) {
@@ -34,11 +32,11 @@ void ShareConvergenceChecker::on_finish(const SystemView&, sim::SimTime now) {
     const double frac =
         static_cast<double>(bytes_[vf]) / static_cast<double>(total);
     const double delta = std::abs(frac - expected_[vf]);
-    if (delta > tolerance_)
+    if (delta > kConvergenceTolerance)
       fail(now, "vf " + std::to_string(vf) + " share " + std::to_string(frac) +
                     " vs fair " + std::to_string(expected_[vf]) +
                     " (|delta| " + std::to_string(delta) + " > tolerance " +
-                    std::to_string(tolerance_) + ") over window [" +
+                    std::to_string(kConvergenceTolerance) + ") over window [" +
                     std::to_string(from_) + ", " + std::to_string(to_) + "]ns");
   }
 }

@@ -6,7 +6,7 @@
 // ShareConvergenceChecker asserts exactly that: over a configured window
 // [from, to] — opened by the runner a settling interval after the last
 // fault clears — each VF's fraction of wire bytes must sit within
-// `tolerance` of its expected weighted-fair share, and the window must not
+// kConvergenceTolerance of its expected weighted-fair share, and the window must not
 // be silent (a wedged pipeline that ships nothing is a failure, not a
 // vacuous pass).
 #pragma once
@@ -17,12 +17,17 @@
 
 namespace flowvalve::check {
 
+/// Max |VF share − fair share| of a run that has reconverged after its
+/// faults: ShareConvergenceChecker's window and RecoverySloChecker's
+/// post-quiet windows hold every VF to it.
+inline constexpr double kConvergenceTolerance = 0.10;
+
 class ShareConvergenceChecker final : public InvariantChecker {
  public:
   /// `expected_fractions[vf]` is the VF's fair fraction of wire bytes (0 for
   /// VFs with no leaf). Fractions should sum to ~1 over the active VFs.
   ShareConvergenceChecker(std::vector<double> expected_fractions,
-                          sim::SimTime from, sim::SimTime to, double tolerance);
+                          sim::SimTime from, sim::SimTime to);
 
   std::string_view name() const override { return "share-convergence"; }
 
@@ -34,7 +39,6 @@ class ShareConvergenceChecker final : public InvariantChecker {
   std::vector<std::uint64_t> bytes_;
   sim::SimTime from_;
   sim::SimTime to_;
-  double tolerance_;
 };
 
 }  // namespace flowvalve::check

@@ -376,7 +376,9 @@ std::string FuzzScenario::describe() const {
     << link_rate.to_string() << ", " << nic.num_workers << " workers, "
     << nic.num_vfs << " VFs (ring " << nic.vf_ring_capacity << "), tx ring "
     << nic.tx_ring_capacity << ", reorder "
-    << (nic.enforce_reorder ? "on" : "off") << ", batch " << nic.batch_size
+    << (nic.enforce_reorder ? "on" : "off") << ", admission "
+    << (nic.recovery.admission_enabled ? "on" : "off") << ", batch "
+    << nic.batch_size
     << ", backend " << core::backend_kind_name(nic.backend) << ", emc "
     << nic.emc_capacity << ", horizon " << sim::to_millis(horizon) << " ms\n";
   s << "policy:\n" << fv_script;

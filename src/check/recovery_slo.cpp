@@ -4,20 +4,16 @@
 #include <cmath>
 #include <string>
 
+#include "check/convergence.h"
+
 namespace flowvalve::check {
 
 RecoverySloChecker::RecoverySloChecker(const obs::RecoveryTracker* tracker,
                                        Options options)
-    : tracker_(tracker), options_(options) {
-  const sim::SimDuration span =
-      std::max<sim::SimDuration>(0, options_.horizon - options_.quiet_at);
-  window_ = options_.window > 0
-                ? options_.window
-                : std::max<sim::SimDuration>(sim::microseconds(500), span / 8);
-  if (options_.reconvergence_bound <= 0)
-    options_.reconvergence_bound = std::max<sim::SimDuration>(
-        sim::milliseconds(10), span / 2);
-}
+    : tracker_(tracker),
+      options_(options),
+      span_(std::max<sim::SimDuration>(0, options_.horizon - options_.quiet_at)),
+      window_(std::max<sim::SimDuration>(sim::microseconds(500), span_ / 8)) {}
 
 void RecoverySloChecker::on_wire_tx(const net::Packet& pkt, sim::SimTime now) {
   if (options_.expected_fractions.empty()) return;
@@ -45,19 +41,16 @@ void RecoverySloChecker::on_finish(const SystemView&, sim::SimTime now) {
       // episode cannot probe healthy while a later one is still active.
       const sim::SimTime basis = std::max(r.cleared_at, options_.quiet_at);
       const sim::SimDuration mttr = r.recovered_at - basis;
-      if (mttr > options_.recovery_bound)
+      if (mttr > kRecoveryBound)
         fail(now, r.kind + " recovery took " + std::to_string(mttr) +
-                      "ns > SLO bound " +
-                      std::to_string(options_.recovery_bound) + "ns");
+                      "ns > SLO bound " + std::to_string(kRecoveryBound) + "ns");
     }
   }
 
   // --- Share reconvergence ------------------------------------------------
   if (options_.expected_fractions.empty()) return;
   // Only complete windows count; the tail window is truncated by horizon.
-  const std::size_t complete = static_cast<std::size_t>(
-      std::max<sim::SimTime>(0, options_.horizon - options_.quiet_at) /
-      window_);
+  const std::size_t complete = static_cast<std::size_t>(span_ / window_);
   const std::size_t n = std::min(per_window_.size(), complete);
   if (n == 0 || per_window_.empty()) {
     fail(now, "no complete post-quiet window — the run left no room to "
@@ -74,7 +67,7 @@ void RecoverySloChecker::on_finish(const SystemView&, sim::SimTime now) {
       if (want <= 0.0) continue;
       const double frac =
           static_cast<double>(per_window_[w][vf]) / static_cast<double>(total);
-      if (std::abs(frac - want) > options_.share_tolerance) return false;
+      if (std::abs(frac - want) > kConvergenceTolerance) return false;
     }
     return true;
   };
@@ -89,14 +82,15 @@ void RecoverySloChecker::on_finish(const SystemView&, sim::SimTime now) {
     fail(now, "shares never reconverged: the final post-quiet window is "
               "silent or unfair (window " +
                   std::to_string(window_) + "ns, tolerance " +
-                  std::to_string(options_.share_tolerance) + ")");
+                  std::to_string(kConvergenceTolerance) + ")");
     return;
   }
   reconvergence_ = static_cast<sim::SimDuration>(first_stable) * window_;
-  if (reconvergence_ > options_.reconvergence_bound)
+  const sim::SimDuration bound =
+      std::max<sim::SimDuration>(sim::milliseconds(10), span_ / 2);
+  if (reconvergence_ > bound)
     fail(now, "share reconvergence took " + std::to_string(reconvergence_) +
-                  "ns > SLO bound " +
-                  std::to_string(options_.reconvergence_bound) + "ns");
+                  "ns > SLO bound " + std::to_string(bound) + "ns");
 }
 
 }  // namespace flowvalve::check

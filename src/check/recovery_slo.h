@@ -11,12 +11,14 @@
 //     that was cleared must have recovered, and its clear→healthy interval
 //     (measured from the campaign's quiet instant, since an episode cannot
 //     probe healthy while a later one is still active) must sit within
-//     `recovery_bound`.
+//     kRecoveryBound.
 //   * Share reconvergence: post-quiet wire traffic is bucketed into fixed
-//     windows; the reconvergence time is the start of the first window from
-//     which EVERY subsequent complete window keeps all expected VF shares
-//     within `share_tolerance`. Exceeding `reconvergence_bound` — or never
-//     reconverging, or shipping nothing at all post-quiet — fails the run.
+//     windows (an eighth of the post-quiet span, at least 500 µs); the
+//     reconvergence time is the start of the first window from which EVERY
+//     subsequent complete window keeps all expected VF shares within
+//     kConvergenceTolerance. Taking longer than half the post-quiet span
+//     (at least 10 ms) — or never reconverging, or shipping nothing at all
+//     post-quiet — fails the run.
 //
 // The measured reconvergence time is exposed for CheckReport/fingerprint
 // and for bench/recovery_sweep's committed MTTR percentiles.
@@ -25,12 +27,18 @@
 #include <vector>
 
 #include "check/checker.h"
+#include "fault/fault_plane.h"
 #include "obs/recovery_tracker.h"
 
 namespace flowvalve::check {
 
 class RecoverySloChecker final : public InvariantChecker {
  public:
+  /// Bound on each episode's max(cleared, quiet)→healthy interval: the
+  /// fault plane's probe deadline plus 10 ms of slack.
+  static constexpr sim::SimDuration kRecoveryBound =
+      fault::FaultPlane::kProbeDeadline + sim::milliseconds(10);
+
   struct Options {
     /// Instant the campaign goes quiet (last scheduled fault clearing);
     /// MTTR and reconvergence are measured from here.
@@ -38,18 +46,10 @@ class RecoverySloChecker final : public InvariantChecker {
     /// End of the measurable run (traffic stop); windows past it are
     /// incomplete and ignored.
     sim::SimTime horizon = 0;
-    /// Bound on each episode's max(cleared, quiet)→healthy interval.
-    sim::SimDuration recovery_bound = sim::milliseconds(60);
-    /// Share-reconvergence window size (0 ⇒ (horizon − quiet_at) / 8,
-    /// floored at 500 µs).
-    sim::SimDuration window = 0;
-    /// Bound on the reconvergence time (0 ⇒ half the post-quiet span).
-    sim::SimDuration reconvergence_bound = 0;
     /// Fair per-VF wire-byte fractions (empty ⇒ the share half of the SLO
     /// is off — e.g. non-differential runs, where no fair expectation
     /// exists).
     std::vector<double> expected_fractions;
-    double share_tolerance = 0.10;
   };
 
   /// `tracker` may be null (the MTTR half is skipped). Not owned; must
@@ -68,6 +68,7 @@ class RecoverySloChecker final : public InvariantChecker {
  private:
   const obs::RecoveryTracker* tracker_;
   Options options_;
+  sim::SimDuration span_ = 0;    // quiet_at → horizon
   sim::SimDuration window_ = 0;
   sim::SimDuration reconvergence_ = -1;
   // per_window_[w][vf] = wire bytes of window w (w = (now − quiet)/window).

@@ -45,27 +45,26 @@ bool FilterRule::matches(std::uint16_t pkt_vf, const FiveTuple& t) const {
 
 // ------------------------------------------------- ExactMatchFlowCache ----
 
-ExactMatchFlowCache::ExactMatchFlowCache(Options options) : options_(options) {
+// A zero interval or budget would deadlock the state machine or the kick
+// search, and a cap below the threshold would never degrade.
+static_assert(ExactMatchFlowCache::kKickBudget >= 2);
+static_assert(ExactMatchFlowCache::kMaxKickDepth >= 1);
+static_assert(ExactMatchFlowCache::kDecayIntervalLookups >= 1);
+static_assert(ExactMatchFlowCache::kRecoveryAdmitEvery >= 1);
+static_assert(ExactMatchFlowCache::kDegradeThreshold >= 1);
+static_assert(ExactMatchFlowCache::kRelapseThreshold >= 1);
+static_assert(ExactMatchFlowCache::kFailureScoreCap >=
+              ExactMatchFlowCache::kDegradeThreshold);
+
+ExactMatchFlowCache::ExactMatchFlowCache(Options options)
+    : idle_timeout_ticks_(options.idle_timeout_ticks) {
   // Capacity clamp: at least two buckets (cuckoo needs two distinct
   // candidates), rounded up to a power of two so the index masks hold for
   // any requested capacity, including 0 and non-multiples of kSlots.
   const std::size_t want_buckets =
-      std::max<std::size_t>(1, (options_.capacity + kSlots - 1) / kSlots);
+      std::max<std::size_t>(1, (options.capacity + kSlots - 1) / kSlots);
   buckets_ = std::max<std::size_t>(2, std::bit_ceil(want_buckets));
   slots_.resize(buckets_ * kSlots);
-
-  // Threshold sanity clamps — a zero interval or budget would deadlock the
-  // state machine or the kick search.
-  options_.kick_budget = std::max<std::uint32_t>(options_.kick_budget, 2);
-  options_.max_kick_depth = std::max<std::uint32_t>(options_.max_kick_depth, 1);
-  options_.decay_interval_lookups =
-      std::max<std::uint32_t>(options_.decay_interval_lookups, 1);
-  options_.recovery_admit_every =
-      std::max<std::uint32_t>(options_.recovery_admit_every, 1);
-  options_.degrade_threshold = std::max<std::uint32_t>(options_.degrade_threshold, 1);
-  options_.relapse_threshold = std::max<std::uint32_t>(options_.relapse_threshold, 1);
-  options_.failure_score_cap =
-      std::max(options_.failure_score_cap, options_.degrade_threshold);
 }
 
 std::uint64_t ExactMatchFlowCache::key_hash(std::uint16_t vf, const FiveTuple& t) const {
@@ -109,7 +108,7 @@ const ExactMatchFlowCache::Entry* ExactMatchFlowCache::find_slot(
 
 void ExactMatchFlowCache::note_lookup() {
   ++lookup_serial_;
-  if (failure_score_ > 0 && lookup_serial_ % options_.decay_interval_lookups == 0)
+  if (failure_score_ > 0 && lookup_serial_ % kDecayIntervalLookups == 0)
     --failure_score_;
   switch (health_) {
     case Health::kHealthy:
@@ -117,7 +116,7 @@ void ExactMatchFlowCache::note_lookup() {
     case Health::kDegraded:
       ++stats_.degraded_dwell_lookups;
       ++dwell_;
-      if (dwell_ >= options_.min_degraded_dwell && failure_score_ == 0) {
+      if (dwell_ >= kMinDegradedDwell && failure_score_ == 0) {
         health_ = Health::kRecovering;
         dwell_ = 0;
         admit_counter_ = 0;
@@ -126,7 +125,7 @@ void ExactMatchFlowCache::note_lookup() {
     case Health::kRecovering:
       ++stats_.recovering_dwell_lookups;
       ++dwell_;
-      if (dwell_ >= options_.recovery_clean_lookups && failure_score_ == 0) {
+      if (dwell_ >= kRecoveryCleanLookups && failure_score_ == 0) {
         health_ = Health::kHealthy;
         dwell_ = 0;
       }
@@ -142,10 +141,10 @@ void ExactMatchFlowCache::note_kick_failure() {
   // free space is pathological (adversarial same-bucket keys); only that
   // raises the pressure score that drives degradation.
   if (live_ * 8 >= capacity() * 7) return;
-  failure_score_ = std::min(failure_score_ + 1, options_.failure_score_cap);
+  failure_score_ = std::min(failure_score_ + 1, kFailureScoreCap);
   const bool degrade =
-      (health_ == Health::kHealthy && failure_score_ >= options_.degrade_threshold) ||
-      (health_ == Health::kRecovering && failure_score_ >= options_.relapse_threshold);
+      (health_ == Health::kHealthy && failure_score_ >= kDegradeThreshold) ||
+      (health_ == Health::kRecovering && failure_score_ >= kRelapseThreshold);
   if (degrade) {
     health_ = Health::kDegraded;
     ++stats_.degraded_transitions;
@@ -154,14 +153,14 @@ void ExactMatchFlowCache::note_kick_failure() {
 }
 
 void ExactMatchFlowCache::sweep_idle(std::uint64_t now_tick) {
-  if (options_.idle_timeout_ticks == 0) return;
+  if (idle_timeout_ticks_ == 0) return;
   const std::uint32_t bucket =
       static_cast<std::uint32_t>(sweep_cursor_++ & (buckets_ - 1));
   Entry* base = &slots_[static_cast<std::size_t>(bucket) * kSlots];
   for (std::size_t s = 0; s < kSlots; ++s) {
     Entry& e = base[s];
     if (e.valid && now_tick > e.last_used &&
-        now_tick - e.last_used > options_.idle_timeout_ticks) {
+        now_tick - e.last_used > idle_timeout_ticks_) {
       invalidate(e);
       ++stats_.idle_evictions;
     }
@@ -233,7 +232,7 @@ ExactMatchFlowCache::Entry* ExactMatchFlowCache::bfs_free_slot(std::uint32_t b1,
                                                                std::uint32_t b2,
                                                                std::uint32_t* kicks) {
   // Breadth-first search over buckets reachable by displacing residents,
-  // bounded by kick_budget expanded buckets and max_kick_depth chain
+  // bounded by kKickBudget expanded buckets and kMaxKickDepth chain
   // length. Nodes record how they were reached so the kick chain can be
   // replayed backwards once a free slot is found.
   struct Node {
@@ -243,7 +242,7 @@ ExactMatchFlowCache::Entry* ExactMatchFlowCache::bfs_free_slot(std::uint32_t b1,
     std::uint8_t depth;
   };
   std::vector<Node> nodes;
-  nodes.reserve(options_.kick_budget);
+  nodes.reserve(kKickBudget);
   nodes.push_back({b1, -1, 0, 0});
   if (b2 != b1) nodes.push_back({b2, -1, 0, 0});
 
@@ -271,8 +270,8 @@ ExactMatchFlowCache::Entry* ExactMatchFlowCache::bfs_free_slot(std::uint32_t b1,
       }
       return freed;  // a now-free slot in b1 or b2
     }
-    if (n.depth >= options_.max_kick_depth) continue;
-    for (std::size_t s = 0; s < kSlots && nodes.size() < options_.kick_budget; ++s) {
+    if (n.depth >= kMaxKickDepth) continue;
+    for (std::size_t s = 0; s < kSlots && nodes.size() < kKickBudget; ++s) {
       const std::uint32_t target = base[s].alt_bucket;
       bool seen = false;
       for (const Node& m : nodes) {
@@ -314,7 +313,7 @@ ExactMatchFlowCache::InsertOutcome ExactMatchFlowCache::insert_at(
     return {false, 0};
   }
   if (health_ == Health::kRecovering &&
-      (admit_counter_++ % options_.recovery_admit_every) != 0) {
+      (admit_counter_++ % kRecoveryAdmitEvery) != 0) {
     ++stats_.suppressed_inserts;
     return {false, 0};
   }
@@ -492,11 +491,8 @@ const char* health_name(ExactMatchFlowCache::Health h) {
 
 // ---------------------------------------------------------- Classifier ----
 
-Classifier::Classifier(ClassifierCosts costs, std::size_t cache_capacity)
-    : Classifier(costs, ExactMatchFlowCache::Options{.capacity = cache_capacity}) {}
-
-Classifier::Classifier(ClassifierCosts costs, ExactMatchFlowCache::Options cache_options)
-    : costs_(costs), cache_(cache_options) {}
+Classifier::Classifier(ExactMatchFlowCache::Options cache_options)
+    : cache_(cache_options) {}
 
 void Classifier::add_rule(FilterRule rule) {
   rules_.push_back(std::move(rule));
@@ -521,12 +517,12 @@ Classifier::Result Classifier::classify(const net::Packet& pkt, std::uint64_t no
   if (cache_enabled_) {
     if (auto hit = cache_.lookup(pkt.vf_port, pkt.tuple, now_tick, label_epoch_)) {
       r.label = *hit;
-      r.cycles = costs_.cache_hit_cycles;
+      r.cycles = kCacheHitCycles;
       r.cache_hit = true;
       r.resident = true;
       return r;
     }
-    r.cycles += costs_.cache_miss_cycles;
+    r.cycles += kCacheMissCycles;
   }
   // Ordered rule walk (first match wins).
   std::uint32_t walked = 0;
@@ -538,7 +534,7 @@ Classifier::Result Classifier::classify(const net::Packet& pkt, std::uint64_t no
       break;
     }
   }
-  r.cycles += walked * costs_.per_rule_cycles;
+  r.cycles += walked * kPerRuleCycles;
   r.label = matched;
   if (cache_enabled_ && matched != net::kUnclassified) {
     const auto out =
@@ -546,7 +542,7 @@ Classifier::Result Classifier::classify(const net::Packet& pkt, std::uint64_t no
     if (out.inserted) {
       // A suppressed insert (degraded mode) charges nothing extra: the
       // packet already paid the honest miss + rule-walk cost.
-      r.cycles += costs_.cache_insert_cycles + out.kicks * costs_.per_kick_cycles;
+      r.cycles += kCacheInsertCycles + out.kicks * kPerKickCycles;
       r.resident = true;
     }
   }
@@ -559,7 +555,7 @@ Classifier::Result Classifier::classify_repeat(const Result& first,
   cache_.replay_hit(now_tick);
   Result r;
   r.label = first.label;
-  r.cycles = costs_.cache_hit_cycles;
+  r.cycles = kCacheHitCycles;
   r.cache_hit = true;
   r.resident = true;
   return r;

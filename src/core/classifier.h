@@ -60,17 +60,6 @@ struct FilterRule {
   bool matches(std::uint16_t pkt_vf, const FiveTuple& t) const;
 };
 
-/// Cycle cost model of the labeling path, used by the NP pipeline to charge
-/// micro-engine time (Observation 2: the EMC is ~10x faster than a software
-/// rule walk).
-struct ClassifierCosts {
-  std::uint32_t cache_hit_cycles = 120;
-  std::uint32_t cache_miss_cycles = 250;     // hash + failed lookup
-  std::uint32_t per_rule_cycles = 90;        // wildcard rule comparison
-  std::uint32_t cache_insert_cycles = 150;
-  std::uint32_t per_kick_cycles = 35;        // one cuckoo displacement
-};
-
 /// Exact-match flow cache: (vf, five-tuple) → label. Bucketized cuckoo hash
 /// table: every key has exactly two candidate buckets of kSlots entries
 /// each; inserts displace residents along a BFS-discovered kick path of
@@ -106,23 +95,24 @@ class ExactMatchFlowCache {
     /// lookups (one extra bucket swept per probe). 0 disables idle
     /// eviction, preserving pure-LRU pressure eviction.
     std::uint64_t idle_timeout_ticks = 0;
-    /// BFS kick search: at most this many buckets expanded per insert, and
-    /// no kick chain longer than max_kick_depth displacements.
-    std::uint32_t kick_budget = 64;
-    std::uint32_t max_kick_depth = 4;
-    /// Degraded-mode state machine (all thresholds in lookups, so the
-    /// machine is deterministic for a deterministic packet sequence).
-    std::uint32_t degrade_threshold = 16;   // failure score → kDegraded
-    std::uint32_t relapse_threshold = 4;    // score during kRecovering → back
-    std::uint32_t failure_score_cap = 64;
-    std::uint32_t decay_interval_lookups = 64;   // score -1 per interval
-    std::uint32_t min_degraded_dwell = 1024;     // lookups before recovery
-    std::uint32_t recovery_admit_every = 8;      // admit 1-in-N inserts
-    std::uint32_t recovery_clean_lookups = 1024; // quiet lookups → healthy
   };
 
+  /// BFS kick search: at most this many buckets expanded per insert, and no
+  /// kick chain longer than kMaxKickDepth displacements.
+  static constexpr std::uint32_t kKickBudget = 64;
+  static constexpr std::uint32_t kMaxKickDepth = 4;
+  /// Degraded-mode state machine (all thresholds in lookups, so the machine
+  /// is deterministic for a deterministic packet sequence).
+  static constexpr std::uint32_t kDegradeThreshold = 16;  // failure score → kDegraded
+  static constexpr std::uint32_t kRelapseThreshold = 4;   // score while kRecovering → back
+  static constexpr std::uint32_t kFailureScoreCap = 64;
+  static constexpr std::uint32_t kDecayIntervalLookups = 64;    // score -1 per interval
+  static constexpr std::uint32_t kMinDegradedDwell = 1024;      // lookups before recovery
+  static constexpr std::uint32_t kRecoveryAdmitEvery = 8;       // admit 1-in-N inserts
+  static constexpr std::uint32_t kRecoveryCleanLookups = 1024;  // quiet lookups → healthy
+
   /// Insert-admission health (DESIGN.md §14). kDegraded suppresses all new
-  /// inserts; kRecovering admits 1-in-recovery_admit_every. Lookups always
+  /// inserts; kRecovering admits 1-in-kRecoveryAdmitEvery. Lookups always
   /// proceed. Transitions are driven by the lookup stream, so a cache that
   /// stops seeing misses still heals.
   enum class Health : std::uint8_t { kHealthy, kDegraded, kRecovering };
@@ -250,8 +240,6 @@ class ExactMatchFlowCache {
   /// data path.
   std::array<std::uint64_t, kSlots + 1> occupancy_histogram() const;
 
-  const Options& options() const { return options_; }
-
  private:
   struct Entry {
     bool valid = false;
@@ -296,7 +284,7 @@ class ExactMatchFlowCache {
     --live_;
   }
 
-  Options options_;
+  std::uint64_t idle_timeout_ticks_ = 0;
   std::vector<Entry> slots_;  // buckets_ × kSlots entries
   std::size_t buckets_ = 0;
   std::size_t live_ = 0;
@@ -320,8 +308,16 @@ const char* health_name(ExactMatchFlowCache::Health h);
 /// best-effort class) catches unmatched traffic.
 class Classifier {
  public:
-  explicit Classifier(ClassifierCosts costs = {}, std::size_t cache_capacity = 64 * 1024);
-  Classifier(ClassifierCosts costs, ExactMatchFlowCache::Options cache_options);
+  /// Cycle cost model of the labeling path, charged as micro-engine time by
+  /// the NP pipeline. A calibration of the Agilio CX, not a per-run choice:
+  /// an EMC hit costs about a tenth of a software rule walk (Observation 2).
+  static constexpr std::uint32_t kCacheHitCycles = 120;
+  static constexpr std::uint32_t kCacheMissCycles = 250;    // hash + failed lookup
+  static constexpr std::uint32_t kPerRuleCycles = 90;       // wildcard rule comparison
+  static constexpr std::uint32_t kCacheInsertCycles = 150;
+  static constexpr std::uint32_t kPerKickCycles = 35;       // one cuckoo displacement
+
+  explicit Classifier(ExactMatchFlowCache::Options cache_options = {});
 
   void add_rule(FilterRule rule);
   /// Replace the whole rule set atomically (control-plane script swap).
@@ -356,7 +352,7 @@ class Classifier {
   /// same `now_tick`. Produces exactly what classify() would: the entry is
   /// guaranteed resident (the first lookup hit it, or the miss path just
   /// inserted it) with last_used == now_tick and the current label epoch,
-  /// so a real probe would hit at cache_hit_cycles with no entry mutation
+  /// so a real probe would hit at kCacheHitCycles with no entry mutation
   /// and then run the same lookup epilogue (ExactMatchFlowCache::replay_hit).
   /// Callers must guard with repeat_would_hit() and an unchanged
   /// mutation_stamp() — otherwise the repeat must re-run classify().
@@ -381,7 +377,6 @@ class Classifier {
   ClassLabelId rule_walk_label(std::uint16_t vf, const FiveTuple& t) const;
 
  private:
-  ClassifierCosts costs_;
   std::vector<FilterRule> rules_;  // kept sorted by pref
   ClassLabelId default_label_ = net::kUnclassified;
   ExactMatchFlowCache cache_;

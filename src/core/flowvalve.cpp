@@ -8,13 +8,13 @@ FlowValveEngine::FlowValveEngine() : FlowValveEngine(Options{}) {}
 
 FlowValveEngine::FlowValveEngine(Options options)
     : options_(options),
-      frontend_(options.params, options.classifier_costs, options.emc) {}
+      frontend_(options.params, options.emc) {}
 
 std::string FlowValveEngine::configure(std::string_view fv_script, sim::SimTime now) {
   frontend_.apply_script(fv_script);
   if (auto err = frontend_.finalize(now); !err.empty()) return err;
   sched_ = make_backend(options_.backend, frontend_.tree(), frontend_.labels(),
-                        options_.sched_costs);
+                        options_.lock_hold_ns);
   return {};
 }
 

@@ -21,9 +21,11 @@ class FlowValveEngine {
  public:
   struct Options {
     FvParams params;
-    SchedulerCosts sched_costs;
-    ClassifierCosts classifier_costs;
-    /// Flow-cache geometry and degraded-mode thresholds (DESIGN.md §14).
+    /// Virtual time the update lock is held: SchedulerBackend::kUpdateCycles
+    /// at the micro-engine clock (267 ns at 1.2 GHz); np::engine_options_for
+    /// derives it from the NP's clock.
+    sim::SimDuration lock_hold_ns = 267;
+    /// Flow-cache geometry and idle timeout (DESIGN.md §14).
     ExactMatchFlowCache::Options emc;
     /// Scheduling discipline run behind the shared contention structure
     /// (scheduler_backend.h). The FlowValve tree is the default; rank

@@ -13,8 +13,8 @@ namespace flowvalve::core {
 // ---------------------------------------------------------------------------
 
 StfqBackend::StfqBackend(SchedulingTree& tree, const LabelTable& labels,
-                         SchedulerCosts costs)
-    : SchedulerBackend(tree, labels, costs), finish_(tree.size(), 0.0) {}
+                         sim::SimDuration lock_hold_ns)
+    : SchedulerBackend(tree, labels, lock_hold_ns), finish_(tree.size(), 0.0) {}
 
 bool StfqBackend::rank(const QosLabel& label, sim::SimTime now,
                        RankView& rv) {
@@ -65,7 +65,7 @@ SchedDecision StfqBackend::schedule(net::Packet& pkt, sim::SimTime now) {
   walk_path(label, pkt, now, d);
 
   RankView rv;
-  d.cycles += costs_.meter_cycles;  // rank computation + admission compare
+  d.cycles += kMeterCycles;  // rank computation + admission compare
   if (rank(label, now, rv) && rv.deficit_bytes <= rv.lead_bytes) {
     admit(pkt, label, rv, d);
     return d;
@@ -80,8 +80,8 @@ SchedDecision StfqBackend::schedule(net::Packet& pkt, sim::SimTime now) {
 // ---------------------------------------------------------------------------
 
 EiffelBackend::EiffelBackend(SchedulingTree& tree, const LabelTable& labels,
-                             SchedulerCosts costs)
-    : StfqBackend(tree, labels, costs) {}
+                             sim::SimDuration lock_hold_ns)
+    : StfqBackend(tree, labels, lock_hold_ns) {}
 
 std::size_t EiffelBackend::bucket_of(double virtual_bytes) const {
   const double rel = (virtual_bytes - cal_base_) / quantum_;
@@ -121,7 +121,7 @@ SchedDecision EiffelBackend::schedule(net::Packet& pkt, sim::SimTime now) {
   walk_path(label, pkt, now, d);
 
   RankView rv;
-  d.cycles += costs_.meter_cycles;
+  d.cycles += kMeterCycles;
   const bool rankable = rank(label, now, rv);
 
   // Size the wheel on first use: span ≈ 8 burst windows at link rate, so a
@@ -135,7 +135,7 @@ SchedDecision EiffelBackend::schedule(net::Packet& pkt, sim::SimTime now) {
     cal_base_ = vtime_;
   }
   if (bucket_of(vtime_) >= kWheelBuckets / 2) rebase_calendar();
-  d.cycles += costs_.count_cycles;  // calendar probe/insert
+  d.cycles += kCountCycles;  // calendar probe/insert
   drain_calendar();
 
   if (!rankable || rv.deficit_bytes > rv.lead_bytes) {
@@ -169,14 +169,14 @@ SchedDecision EiffelBackend::schedule(net::Packet& pkt, sim::SimTime now) {
 std::unique_ptr<SchedulerBackend> make_backend(BackendKind kind,
                                                SchedulingTree& tree,
                                                const LabelTable& labels,
-                                               SchedulerCosts costs) {
+                                               sim::SimDuration lock_hold_ns) {
   switch (kind) {
     case BackendKind::kFlowValve:
-      return std::make_unique<SchedulingFunction>(tree, labels, costs);
+      return std::make_unique<SchedulingFunction>(tree, labels, lock_hold_ns);
     case BackendKind::kStfq:
-      return std::make_unique<StfqBackend>(tree, labels, costs);
+      return std::make_unique<StfqBackend>(tree, labels, lock_hold_ns);
     case BackendKind::kEiffel:
-      return std::make_unique<EiffelBackend>(tree, labels, costs);
+      return std::make_unique<EiffelBackend>(tree, labels, lock_hold_ns);
   }
   return nullptr;
 }

@@ -39,7 +39,7 @@ namespace flowvalve::core {
 class StfqBackend : public SchedulerBackend {
  public:
   StfqBackend(SchedulingTree& tree, const LabelTable& labels,
-              SchedulerCosts costs);
+              sim::SimDuration lock_hold_ns);
 
   BackendKind kind() const override { return BackendKind::kStfq; }
   SchedDecision schedule(net::Packet& pkt, sim::SimTime now) override;
@@ -73,7 +73,7 @@ class EiffelBackend final : public StfqBackend {
   static constexpr std::size_t kWheelBuckets = 1024;
 
   EiffelBackend(SchedulingTree& tree, const LabelTable& labels,
-                SchedulerCosts costs);
+                sim::SimDuration lock_hold_ns);
 
   BackendKind kind() const override { return BackendKind::kEiffel; }
   SchedDecision schedule(net::Packet& pkt, sim::SimTime now) override;

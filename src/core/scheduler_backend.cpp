@@ -28,8 +28,8 @@ bool parse_backend_kind(std::string_view name, BackendKind& out) {
 
 SchedulerBackend::SchedulerBackend(SchedulingTree& tree,
                                    const LabelTable& labels,
-                                   SchedulerCosts costs)
-    : tree_(tree), labels_(labels), costs_(costs) {
+                                   sim::SimDuration lock_hold_ns)
+    : tree_(tree), labels_(labels), lock_hold_ns_(lock_hold_ns) {
   assert(tree.finalized() && "finalize() the tree before scheduling");
 }
 
@@ -40,18 +40,18 @@ std::uint32_t SchedulerBackend::maybe_update(ClassId id, sim::SimTime now,
   const bool wants_commit = tree_.rollout_active() && c.has_staged &&
                             pkt_epoch >= tree_.staged_epoch();
   if (!wants_commit && now - c.last_update < tree_.params().update_interval) return cycles;
-  cycles += costs_.lock_attempt_cycles;
-  if (c.update_lock.try_acquire(now, costs_.lock_hold_ns)) {
+  cycles += kLockAttemptCycles;
+  if (c.update_lock.try_acquire(now, lock_hold_ns_)) {
     if (wants_commit) {
       // A packet from a cut-over worker pulls the staged policy in under the
       // same lock the update subprocedure already takes (Fig. 8): no extra
-      // synchronization, just commit_cycles more inside the guarded section.
+      // synchronization, just kCommitCycles more inside the guarded section.
       tree_.commit_class(id, now);
-      cycles += costs_.commit_cycles;
+      cycles += kCommitCycles;
       ++stats_.policy_commits;
     }
     tree_.update_class(id, now);
-    cycles += costs_.update_cycles;
+    cycles += kUpdateCycles;
     ++stats_.updates;
   } else {
     // Another core is updating this class right now; we only meter
@@ -70,7 +70,7 @@ void SchedulerBackend::walk_path(const QosLabel& label, net::Packet& pkt,
   // Lines 1-5: walk the hierarchy class label, refreshing token buckets.
   for (ClassId id : label.path) {
     d.cycles += maybe_update(id, now, pkt.policy_epoch);
-    d.cycles += costs_.count_cycles;
+    d.cycles += kCountCycles;
   }
 }
 

@@ -42,24 +42,6 @@ const char* backend_kind_name(BackendKind kind);
 /// Returns false (and leaves `out` untouched) on an unknown name.
 bool parse_backend_kind(std::string_view name, BackendKind& out);
 
-/// Cycle cost model for Algorithm 1's constituent operations on the NFP:
-/// atomic counter adds and the meter instruction are cheap hardware ops;
-/// the update subprocedure does guarded multiplies/divides (§IV-D). Rank
-/// backends reuse the same budget: a rank computation + admission compare
-/// is modeled at meter cost, a calendar insert/scan at count cost.
-struct SchedulerCosts {
-  std::uint32_t lock_attempt_cycles = 10;
-  std::uint32_t update_cycles = 320;        // guarded θ recomputation
-  std::uint32_t count_cycles = 18;          // atomic add per class
-  std::uint32_t meter_cycles = 40;          // atomic meter instruction
-  std::uint32_t borrow_query_cycles = 55;   // shadow bucket meter per lender
-  std::uint32_t commit_cycles = 48;         // staged-policy word swap under the lock
-
-  /// Virtual-time duration the update lock is held (update_cycles at the
-  /// core frequency); the NP pipeline overrides this from its clock.
-  sim::SimDuration lock_hold_ns = 267;
-};
-
 /// Per-call outcome with the micro-engine cycles consumed, fed into the NP
 /// pipeline's capacity model.
 struct SchedDecision {
@@ -70,6 +52,19 @@ struct SchedDecision {
 
 class SchedulerBackend {
  public:
+  /// Cycle cost model for Algorithm 1's constituent operations on the NFP,
+  /// a calibration of the Agilio CX: atomic counter adds and the meter
+  /// instruction are cheap hardware ops; the update subprocedure does
+  /// guarded multiplies/divides (§IV-D). Rank backends reuse the same
+  /// budget: a rank computation + admission compare is modeled at meter
+  /// cost, a calendar insert/scan at count cost.
+  static constexpr std::uint32_t kLockAttemptCycles = 10;
+  static constexpr std::uint32_t kUpdateCycles = 320;      // guarded θ recomputation
+  static constexpr std::uint32_t kCountCycles = 18;        // atomic add per class
+  static constexpr std::uint32_t kMeterCycles = 40;        // atomic meter instruction
+  static constexpr std::uint32_t kBorrowQueryCycles = 55;  // shadow bucket meter per lender
+  static constexpr std::uint32_t kCommitCycles = 48;       // staged-policy word swap under the lock
+
   virtual ~SchedulerBackend() = default;
 
   virtual BackendKind kind() const = 0;
@@ -102,8 +97,10 @@ class SchedulerBackend {
   SchedulingTree& tree() { return tree_; }
 
  protected:
+  /// `lock_hold_ns` is the virtual time the update lock is held:
+  /// kUpdateCycles at the micro-engine clock.
   SchedulerBackend(SchedulingTree& tree, const LabelTable& labels,
-                   SchedulerCosts costs);
+                   sim::SimDuration lock_hold_ns);
 
   /// Run the update subprocedure for `id` if its epoch elapsed and the
   /// try-lock is won; returns cycles spent. `pkt_epoch` is the policy epoch
@@ -124,7 +121,7 @@ class SchedulerBackend {
 
   SchedulingTree& tree_;
   const LabelTable& labels_;
-  SchedulerCosts costs_;
+  sim::SimDuration lock_hold_ns_;
   Stats stats_;
 };
 
@@ -133,6 +130,6 @@ class SchedulerBackend {
 std::unique_ptr<SchedulerBackend> make_backend(BackendKind kind,
                                                SchedulingTree& tree,
                                                const LabelTable& labels,
-                                               SchedulerCosts costs);
+                                               sim::SimDuration lock_hold_ns);
 
 }  // namespace flowvalve::core

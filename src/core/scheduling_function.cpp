@@ -5,8 +5,8 @@
 namespace flowvalve::core {
 
 SchedulingFunction::SchedulingFunction(SchedulingTree& tree, const LabelTable& labels,
-                                       SchedulerCosts costs)
-    : SchedulerBackend(tree, labels, costs) {}
+                                       sim::SimDuration lock_hold_ns)
+    : SchedulerBackend(tree, labels, lock_hold_ns) {}
 
 SchedDecision SchedulingFunction::schedule(net::Packet& pkt, sim::SimTime now) {
   SchedDecision d;
@@ -22,7 +22,7 @@ SchedDecision SchedulingFunction::schedule(net::Packet& pkt, sim::SimTime now) {
   // wire actually serializes, which is what keeps the Tx FIFO shallow.
   const ClassId leaf = label.path.back();
   const std::uint32_t charge = pkt.wire_occupancy_bytes();
-  d.cycles += costs_.meter_cycles;
+  d.cycles += kMeterCycles;
   if (tree_.at(leaf).bucket.meter(charge) == MeterColor::kGreen) {
     d.verdict = Verdict::kForward;
     tree_.count_forwarded(label.path, charge);
@@ -35,7 +35,7 @@ SchedDecision SchedulingFunction::schedule(net::Packet& pkt, sim::SimTime now) {
   // lenders' lendable rates live).
   for (ClassId lender : label.borrow) {
     d.cycles += maybe_update(lender, now, pkt.policy_epoch);
-    d.cycles += costs_.borrow_query_cycles;
+    d.cycles += kBorrowQueryCycles;
     if (tree_.at(lender).shadow.meter(charge) == MeterColor::kGreen) {
       d.verdict = Verdict::kForward;
       d.borrowed = true;

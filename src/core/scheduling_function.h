@@ -22,7 +22,7 @@ namespace flowvalve::core {
 class SchedulingFunction final : public SchedulerBackend {
  public:
   SchedulingFunction(SchedulingTree& tree, const LabelTable& labels,
-                     SchedulerCosts costs = {});
+                     sim::SimDuration lock_hold_ns);
 
   BackendKind kind() const override { return BackendKind::kFlowValve; }
 

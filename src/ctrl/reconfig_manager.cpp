@@ -7,9 +7,8 @@ namespace flowvalve::ctrl {
 
 ReconfigManager::ReconfigManager(sim::Simulator& sim, np::NicPipeline& pipeline,
                                  core::FlowValveEngine& engine,
-                                 obs::ReconfigTracker* tracker, Options options)
-    : sim_(sim), pipeline_(pipeline), engine_(engine), tracker_(tracker),
-      opts_(options) {
+                                 obs::ReconfigTracker* tracker)
+    : sim_(sim), pipeline_(pipeline), engine_(engine), tracker_(tracker) {
   const unsigned n = pipeline_.config().num_workers;
   cut_.assign(n, false);
   stale_.assign(n, false);
@@ -24,8 +23,7 @@ ReconfigManager::~ReconfigManager() {
 }
 
 unsigned ReconfigManager::wave() const {
-  if (opts_.cutover_wave > 0) return opts_.cutover_wave;
-  return std::max(1u, pipeline_.config().num_workers / 4);
+  return std::max(1u, pipeline_.config().num_workers / kRolloutWaves);
 }
 
 std::uint32_t ReconfigManager::worker_epoch(unsigned w) const {
@@ -123,7 +121,7 @@ void ReconfigManager::begin_rollout(ValidatedUpdate&& v, const std::string& kind
   state_ = State::kRollout;
   if (observer_) observer_->on_staged(target_, now);
   stall_timer_.cancel();
-  stall_timer_ = sim_.schedule_after(opts_.stall_timeout, [this] { on_stall_timeout(); });
+  stall_timer_ = sim_.schedule_after(kStallTimeout, [this] { on_stall_timeout(); });
 }
 
 np::ControlHook::Cutover ReconfigManager::on_packet_boundary(
@@ -152,7 +150,7 @@ np::ControlHook::Cutover ReconfigManager::on_packet_boundary(
     // rolls back synchronously, and this burst must then carry the
     // restored epoch, not the vanished target (worker_epoch resolves both
     // cases, including a queued update starting a fresh rollout).
-    return {worker_epoch(worker), opts_.cutover_cycles};
+    return {worker_epoch(worker), kCutoverCycles};
   }
   // Not yet eligible (wave gating) or stale-faulted: every packet of the
   // burst is scheduled against the old epoch — the bounded mixed-epoch
@@ -177,7 +175,7 @@ void ReconfigManager::on_stall_timeout() {
   // Bounded degradation: shed load only if the pipeline is actually backed
   // up behind the stalled swap; an idle pipeline just gets force-cut.
   if (pipeline_.in_flight() > pipeline_.config().num_workers) {
-    pipeline_.control_force_admission(opts_.stall_shed_modulus);
+    pipeline_.control_force_admission(kStallShedModulus);
     open_.shed_engaged = true;
     stats_.admission_forced = true;
   }
@@ -219,12 +217,9 @@ void ReconfigManager::finish_rollout(sim::SimTime now) {
 
   epoch_ = target_;
   state_ = State::kProbation;
-  probation_end_ = now + opts_.probation;
-  const sim::SimDuration period =
-      opts_.guard_period > 0 ? opts_.guard_period
-                             : std::max<sim::SimDuration>(1, opts_.probation / 8);
+  probation_end_ = now + kProbation;
   guard_timer_.cancel();
-  guard_timer_ = sim_.schedule_after(period, [this] { guard_tick(); });
+  guard_timer_ = sim_.schedule_after(kGuardPeriod, [this] { guard_tick(); });
 }
 
 void ReconfigManager::guard_tick() {
@@ -246,10 +241,8 @@ void ReconfigManager::guard_tick() {
     commit(now);
     return;
   }
-  const sim::SimDuration period =
-      opts_.guard_period > 0 ? opts_.guard_period
-                             : std::max<sim::SimDuration>(1, opts_.probation / 8);
-  const sim::SimDuration next = std::min<sim::SimDuration>(period, probation_end_ - now);
+  const sim::SimDuration next =
+      std::min<sim::SimDuration>(kGuardPeriod, probation_end_ - now);
   guard_timer_ = sim_.schedule_after(std::max<sim::SimDuration>(1, next),
                                      [this] { guard_tick(); });
 }

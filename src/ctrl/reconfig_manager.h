@@ -39,22 +39,21 @@ namespace flowvalve::ctrl {
 
 class ReconfigManager final : public np::ControlHook {
  public:
-  struct Options {
-    /// Workers allowed to cut over per wave; 0 ⇒ max(1, num_workers / 4).
-    unsigned cutover_wave = 0;
-    /// Micro-engine cycles charged at a worker's cutover boundary (epoch
-    /// register write + staged-pointer fetch under the try-lock model).
-    std::uint32_t cutover_cycles = 330;
-    /// Rollout older than this without full cutover ⇒ stall handling.
-    sim::SimDuration stall_timeout = sim::milliseconds(2);
-    /// Admission modulus forced while a stalled swap resolves (drop every
-    /// Nth submission) — only engaged when the pipeline is actually loaded.
-    std::uint64_t stall_shed_modulus = 8;
-    /// Guarded observation window between cutover and permanent commit.
-    sim::SimDuration probation = sim::milliseconds(5);
-    /// Guard evaluation period during probation; 0 ⇒ probation / 8.
-    sim::SimDuration guard_period = 0;
-  };
+  /// Workers cut over in kRolloutWaves waves of max(1, num_workers /
+  /// kRolloutWaves) each.
+  static constexpr unsigned kRolloutWaves = 4;
+  /// Micro-engine cycles charged at a worker's cutover boundary (epoch
+  /// register write + staged-pointer fetch under the try-lock model).
+  static constexpr std::uint32_t kCutoverCycles = 330;
+  /// Rollout older than this without full cutover ⇒ stall handling.
+  static constexpr sim::SimDuration kStallTimeout = sim::milliseconds(2);
+  /// Admission modulus forced while a stalled swap resolves (drop every
+  /// Nth submission) — only engaged when the pipeline is actually loaded.
+  static constexpr std::uint64_t kStallShedModulus = 8;
+  /// Guarded observation window between cutover and permanent commit.
+  static constexpr sim::SimDuration kProbation = sim::milliseconds(5);
+  /// Guard evaluation period during probation.
+  static constexpr sim::SimDuration kGuardPeriod = kProbation / 8;
 
   enum class State : std::uint8_t { kIdle, kRollout, kProbation };
 
@@ -72,11 +71,7 @@ class ReconfigManager final : public np::ControlHook {
   /// `tracker` may be null (no records kept). The manager attaches itself
   /// as the pipeline's control hook and detaches in its destructor.
   ReconfigManager(sim::Simulator& sim, np::NicPipeline& pipeline,
-                  core::FlowValveEngine& engine, obs::ReconfigTracker* tracker,
-                  Options options);
-  ReconfigManager(sim::Simulator& sim, np::NicPipeline& pipeline,
-                  core::FlowValveEngine& engine, obs::ReconfigTracker* tracker)
-      : ReconfigManager(sim, pipeline, engine, tracker, Options{}) {}
+                  core::FlowValveEngine& engine, obs::ReconfigTracker* tracker);
   ~ReconfigManager() override;
 
   ReconfigManager(const ReconfigManager&) = delete;
@@ -157,7 +152,6 @@ class ReconfigManager final : public np::ControlHook {
   np::NicPipeline& pipeline_;
   core::FlowValveEngine& engine_;
   obs::ReconfigTracker* tracker_;
-  Options opts_;
 
   State state_ = State::kIdle;
   std::uint32_t epoch_ = 0;   // committed epoch (mirrors the tree)

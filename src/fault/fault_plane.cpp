@@ -432,17 +432,11 @@ FaultSchedule generate_campaign_schedule(std::uint64_t seed,
 
 FaultPlane::FaultPlane(sim::Simulator& sim, np::NicPipeline& pipeline,
                        core::FlowValveEngine* engine,
-                       obs::RecoveryTracker* tracker, Options options)
-    : sim_(sim),
-      pipeline_(pipeline),
-      engine_(engine),
-      tracker_(tracker),
-      options_(options) {}
+                       obs::RecoveryTracker* tracker)
+    : sim_(sim), pipeline_(pipeline), engine_(engine), tracker_(tracker) {}
 
-sim::SimDuration FaultPlane::probe_period() const {
-  if (options_.probe_period > 0) return options_.probe_period;
-  return std::max<sim::SimDuration>(sim::microseconds(100),
-                                    pipeline_.watchdog_period());
+sim::SimDuration FaultPlane::probe_interval() const {
+  return std::max(kMinProbePeriod, pipeline_.watchdog_scan_period());
 }
 
 FaultPlane::Counters FaultPlane::read_counters() const {
@@ -740,7 +734,7 @@ void FaultPlane::clear(ActiveFault& f) {
   }
   f.at_last_probe = read_counters();
   ActiveFault* fp = &f;
-  sim_.schedule_after(probe_period(), [this, fp] { probe(*fp); });
+  sim_.schedule_after(probe_interval(), [this, fp] { probe(*fp); });
 }
 
 void FaultPlane::probe(ActiveFault& f) {
@@ -766,12 +760,12 @@ void FaultPlane::probe(ActiveFault& f) {
   // campaign's LAST scheduled clearing, not this fault's own.
   const sim::SimTime quiet_at =
       std::max(f.rec.cleared_at, last_scheduled_clear_);
-  if (sim_.now() - quiet_at >= options_.probe_deadline) {
+  if (sim_.now() - quiet_at >= kProbeDeadline) {
     close(f, -1);  // the pipeline never probed healthy: recorded as such
     return;
   }
   ActiveFault* fp = &f;
-  sim_.schedule_after(probe_period(), [this, fp] { probe(*fp); });
+  sim_.schedule_after(probe_interval(), [this, fp] { probe(*fp); });
 }
 
 void FaultPlane::close(ActiveFault& f, sim::SimTime recovered_at) {

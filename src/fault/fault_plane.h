@@ -7,7 +7,7 @@
 // again — no hung workers, no watchdog retry backlog, and the robustness
 // layer's drop counters quiescent since the previous probe — and writes a
 // FaultRecord (recovery time + packets lost, by mechanism) into the
-// attached obs::RecoveryTracker. Probing gives up at `probe_deadline` so a
+// attached obs::RecoveryTracker. Probing gives up at kProbeDeadline so a
 // fault the pipeline cannot absorb still terminates the simulation.
 //
 // Everything is driven off the simulator's virtual clock and the schedule
@@ -31,22 +31,17 @@ namespace flowvalve::fault {
 
 class FaultPlane {
  public:
-  struct Options {
-    /// Give up probing for recovery this long after the fault clears.
-    sim::SimDuration probe_deadline = sim::milliseconds(50);
-    /// Probe spacing (0 ⇒ max(100 µs, pipeline watchdog period)).
-    sim::SimDuration probe_period = 0;
-  };
+  /// Give up probing for recovery this long after the fault clears (after
+  /// the last scheduled clearing, under a compound campaign).
+  static constexpr sim::SimDuration kProbeDeadline = sim::milliseconds(50);
+  /// Probes run every max(kMinProbePeriod, pipeline watchdog period).
+  static constexpr sim::SimDuration kMinProbePeriod = sim::microseconds(100);
 
   /// `engine` may be null (cache faults become no-ops); `tracker` may be
   /// null (recovery goes unrecorded). Neither is owned; both must outlive
   /// the armed simulation.
   FaultPlane(sim::Simulator& sim, np::NicPipeline& pipeline,
-             core::FlowValveEngine* engine, obs::RecoveryTracker* tracker,
-             Options options);
-  FaultPlane(sim::Simulator& sim, np::NicPipeline& pipeline,
-             core::FlowValveEngine* engine, obs::RecoveryTracker* tracker)
-      : FaultPlane(sim, pipeline, engine, tracker, Options{}) {}
+             core::FlowValveEngine* engine, obs::RecoveryTracker* tracker);
 
   /// Attach the control-plane reconfiguration manager the kTornUpdate /
   /// kStaleEpoch / kUpdateStorm faults target (nullptr detaches; those
@@ -99,14 +94,13 @@ class FaultPlane {
   /// toggle between crashed and repaired, until the final clear() repairs
   /// them for good.
   void flap_tick(ActiveFault* f, sim::SimTime end, sim::SimDuration half);
-  sim::SimDuration probe_period() const;
+  sim::SimDuration probe_interval() const;
 
   sim::Simulator& sim_;
   np::NicPipeline& pipeline_;
   core::FlowValveEngine* engine_;
   obs::RecoveryTracker* tracker_;
   ctrl::ReconfigManager* reconfig_ = nullptr;
-  Options options_;
   std::vector<std::unique_ptr<ActiveFault>> active_;
   // Under a compound campaign one fault's probe window can overlap another
   // still-active fault; health is only reachable once the LAST scheduled

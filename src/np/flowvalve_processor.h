@@ -10,7 +10,7 @@ namespace flowvalve::np {
 /// whose scheduling discipline follows the NIC's configured backend.
 inline core::FlowValveEngine::Options engine_options_for(const NpConfig& cfg) {
   core::FlowValveEngine::Options opt;
-  opt.sched_costs.lock_hold_ns = cfg.cycles_to_ns(opt.sched_costs.update_cycles);
+  opt.lock_hold_ns = cfg.cycles_to_ns(core::SchedulerBackend::kUpdateCycles);
   opt.backend = cfg.backend;
   opt.emc.capacity = cfg.emc_capacity;
   opt.emc.idle_timeout_ticks = static_cast<std::uint64_t>(cfg.emc_idle_timeout);

@@ -11,6 +11,10 @@ namespace {
 /// dropped with DropReason::kWatchdogAbort.
 constexpr unsigned kWatchdogMaxRetries = 3;
 
+// The watchdog scans this many times per budget (at least once a µs), so a
+// stuck worker is caught within 1 + 1/kWatchdogScansPerBudget budgets.
+constexpr sim::SimDuration kWatchdogScansPerBudget = 4;
+
 /// Graceful-degradation admission (NpConfig::Recovery::admission_enabled).
 /// After kAdmissionEscalationTicks consecutive watchdog ticks with Tx-ring
 /// occupancy at or above the high watermark it drops every
@@ -97,7 +101,7 @@ NicPipeline::NicPipeline(sim::Simulator& sim, NpConfig config, PacketProcessor& 
   } else {
     watchdog_budget_ = std::max<sim::SimDuration>(
         sim::microseconds(250),
-        64 * config_.cycles_to_ns(config_.base_rx_cycles + config_.base_tx_cycles));
+        64 * config_.cycles_to_ns(kBaseRxCycles + kBaseTxCycles));
   }
   if (rec.reorder_timeout < 0) {
     reorder_timeout_ = -1;
@@ -107,15 +111,12 @@ NicPipeline::NicPipeline(sim::Simulator& sim, NpConfig config, PacketProcessor& 
     reorder_timeout_ =
         watchdog_budget_ > 0 ? 2 * watchdog_budget_ : sim::microseconds(500);
   }
-  if (rec.watchdog_period > 0) {
-    watchdog_period_ = rec.watchdog_period;
-  } else {
-    const sim::SimDuration base =
-        watchdog_budget_ > 0
-            ? watchdog_budget_
-            : (reorder_timeout_ > 0 ? reorder_timeout_ : sim::microseconds(400));
-    watchdog_period_ = std::max<sim::SimDuration>(sim::microseconds(1), base / 4);
-  }
+  const sim::SimDuration base =
+      watchdog_budget_ > 0
+          ? watchdog_budget_
+          : (reorder_timeout_ > 0 ? reorder_timeout_ : sim::microseconds(400));
+  watchdog_scan_period_ = std::max<sim::SimDuration>(sim::microseconds(1),
+                                                base / kWatchdogScansPerBudget);
 }
 
 void NicPipeline::drop(const net::Packet& pkt, DropReason reason) {
@@ -185,8 +186,8 @@ void NicPipeline::dispatch_burst(unsigned worker) {
   while (ctx.burst.size() < config_.batch_size && !retry_queue_.empty()) {
     RetryEntry e = std::move(retry_queue_.front());
     retry_queue_.pop_front();
-    std::uint64_t cycles = config_.base_rx_cycles;
-    if (e.forward) cycles += config_.base_tx_cycles;
+    std::uint64_t cycles = kBaseRxCycles;
+    if (e.forward) cycles += kBaseTxCycles;
     stats_.processing_cycles += cycles;
     ++stats_.processed;
     BurstItem item;
@@ -252,9 +253,9 @@ void NicPipeline::dispatch_burst(unsigned worker) {
     processor_.process_batch(slot_scratch_.data(), fresh, now);
     for (std::size_t i = 0; i < fresh; ++i) {
       const PacketProcessor::Outcome& out = slot_scratch_[i].out;
-      std::uint64_t cycles = config_.base_rx_cycles + out.cycles;
+      std::uint64_t cycles = kBaseRxCycles + out.cycles;
       if (i == 0) cycles += ctrl_cycles;
-      if (out.forward) cycles += config_.base_tx_cycles;
+      if (out.forward) cycles += kBaseTxCycles;
       stats_.processing_cycles += cycles;
       ++stats_.processed;
       BurstItem& item = ctx.burst[first_fresh + i];
@@ -647,13 +648,13 @@ bool NicPipeline::watchdog_work_pending() const {
 }
 
 void NicPipeline::arm_watchdog_slow() {
-  if (watchdog_armed_ || watchdog_period_ <= 0) return;
+  if (watchdog_armed_ || watchdog_scan_period_ <= 0) return;
   if (watchdog_budget_ <= 0 && reorder_timeout_ <= 0 &&
       !config_.recovery.admission_enabled)
     return;
   if (!watchdog_work_pending()) return;
   watchdog_armed_ = true;
-  sim_.schedule_after(watchdog_period_, [this] { watchdog_tick(); });
+  sim_.schedule_after(watchdog_scan_period_, [this] { watchdog_tick(); });
 }
 
 void NicPipeline::watchdog_tick() {
@@ -880,16 +881,15 @@ void NicPipeline::restart_island(unsigned island) {
     }
   }
   ++stats_.islands_restarted;
-  const auto& rec = config_.recovery;
-  if (rec.restart_probation_modulus >= 2 && rec.restart_probation > 0 &&
-      !admission_forced_) {
-    control_force_admission(rec.restart_probation_modulus);
+  static_assert(kRestartProbationModulus >= 2 && kRestartProbation > 0);
+  if (!admission_forced_) {
+    control_force_admission(kRestartProbationModulus);
     restart_probation_active_ = true;
     // Timed auto-release, token-guarded: if another restart re-arms
     // probation or src/ctrl takes/releases the valve meanwhile, this
     // release belongs to a superseded probation and must do nothing.
     const std::uint64_t token = ++probation_token_;
-    sim_.schedule_after(rec.restart_probation, [this, token] {
+    sim_.schedule_after(kRestartProbation, [this, token] {
       if (restart_probation_active_ && probation_token_ == token) {
         restart_probation_active_ = false;
         control_release_admission();

@@ -157,6 +157,14 @@ class PipelineObserver {
 
 class NicPipeline final : public net::EgressDevice {
  public:
+  /// Island-restart probation (DESIGN.md §16): workers restarted after an
+  /// island blackout re-enter behind a forced admission modulus (drop every
+  /// Nth submission) for kRestartProbation, instead of cold-starting the
+  /// refilled island at full offered rate while its scheduler state and
+  /// flow cache are still re-warming.
+  static constexpr std::uint64_t kRestartProbationModulus = 8;
+  static constexpr sim::SimDuration kRestartProbation = sim::microseconds(500);
+
   NicPipeline(sim::Simulator& sim, NpConfig config, PacketProcessor& processor);
 
   /// Host-side submission on a VF port. Returns false if the packet was
@@ -220,7 +228,7 @@ class NicPipeline final : public net::EgressDevice {
 
   /// Resolved recovery parameters (after 0 = auto derivation).
   sim::SimDuration watchdog_budget() const { return watchdog_budget_; }
-  sim::SimDuration watchdog_period() const { return watchdog_period_; }
+  sim::SimDuration watchdog_scan_period() const { return watchdog_scan_period_; }
   sim::SimDuration reorder_timeout() const { return reorder_timeout_; }
 
   /// Current degradation-mode drop modulus (0 when admission is idle).
@@ -279,9 +287,10 @@ class NicPipeline final : public net::EgressDevice {
   void fault_blackout_island(unsigned island);
 
   /// Restart island `island`: every frozen/hung worker of the island
-  /// rejoins the pool, and — if recovery.restart_probation_modulus > 0 and
-  /// no one else holds the admission valve — forced admission shedding
-  /// engages for recovery.restart_probation before auto-releasing.
+  /// rejoins the pool, and — if no one else (control plane, overload
+  /// escalation) holds the admission valve — forced admission shedding at
+  /// kRestartProbationModulus engages for kRestartProbation before
+  /// auto-releasing.
   void restart_island(unsigned island);
 
   /// Scale the Tx drain rate by `factor` ∈ [0, 1]; 0 pauses the wire (the
@@ -455,7 +464,7 @@ class NicPipeline final : public net::EgressDevice {
 
   // Resolved recovery parameters (< 0 ⇒ disabled).
   sim::SimDuration watchdog_budget_ = -1;
-  sim::SimDuration watchdog_period_ = -1;
+  sim::SimDuration watchdog_scan_period_ = -1;
   sim::SimDuration reorder_timeout_ = -1;
   bool watchdog_armed_ = false;
 

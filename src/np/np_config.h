@@ -2,11 +2,15 @@
 //
 // The defaults approximate a Netronome Agilio CX 40GbE: tens of worker
 // micro-engine contexts at 1.2 GHz, a shared Tx ring drained by the traffic
-// manager at wire rate, and per-VF receive rings on the PCIe side. The
-// base_rx/base_tx cycle costs cover buffer pulls, header parsing, packet
-// modification and the reorder system — everything a worker does besides
-// FlowValve's labeling + scheduling functions, whose costs are accounted
-// separately (ClassifierCosts / SchedulerCosts).
+// manager at wire rate, and per-VF receive rings on the PCIe side.
+//
+// The cycle model is a calibration of that NP, not a per-run choice, so it
+// is constants rather than fields: kBaseRxCycles/kBaseTxCycles below cover
+// buffer pulls, header parsing, packet modification and the reorder system
+// — everything a worker does besides FlowValve's labeling + scheduling
+// functions, whose costs live beside the code that charges them
+// (core::Classifier::kCacheHitCycles..., core::SchedulerBackend::
+// kUpdateCycles...). A slower or faster NP is modeled through freq_ghz.
 #pragma once
 
 #include <algorithm>
@@ -22,6 +26,15 @@ namespace flowvalve::np {
 
 using sim::Rate;
 using sim::SimDuration;
+
+/// Per-packet fixed worker cost outside the scheduler: pull from the Rx
+/// ring + parse (kBaseRxCycles), and modify + copy into the Tx ring +
+/// reorder bookkeeping (kBaseTxCycles, forwarded packets only). ~2800
+/// cycles in all leaves ~250 cycles for the labeling + scheduling functions
+/// within a ~3050-cycle/packet budget, which yields the ≈19.7 Mpps peak of
+/// Fig. 13 on 50 workers at 1.2 GHz.
+inline constexpr std::uint32_t kBaseRxCycles = 1100;
+inline constexpr std::uint32_t kBaseTxCycles = 1700;
 
 struct NpConfig {
   /// Effective worker contexts (micro-engines × useful threads). The Agilio
@@ -95,14 +108,6 @@ struct NpConfig {
   /// never reaches it — only a stuck/leaked completion does.
   std::size_t reorder_capacity = 4096;
 
-  /// Per-packet fixed worker cost outside the scheduler: pull from the Rx
-  /// ring + parse (base_rx) and modify + copy into the Tx ring + reorder
-  /// bookkeeping (base_tx). ~2800 cycles total leaves ~250 cycles for the
-  /// labeling + scheduling functions within a ~3050-cycle/packet budget,
-  /// which yields the ≈19.7 Mpps peak of Fig. 13 on 50 workers at 1.2 GHz.
-  std::uint32_t base_rx_cycles = 1100;
-  std::uint32_t base_tx_cycles = 1700;
-
   /// Fixed latency of the rest of the NIC pipeline (DMA, internal queueing,
   /// reorder system). The paper measures 161 µs at 40 Gbps even with
   /// FlowValve disabled and attributes it to processing it could not
@@ -122,12 +127,10 @@ struct NpConfig {
     /// times, kWatchdogMaxRetries in nic_pipeline.cpp) or dropped with
     /// DropReason::kWatchdogAbort.
     /// 0 derives the budget from the cycle model: max(250 µs,
-    /// 64 × cycles_to_ns(base_rx + base_tx)); negative disables the
-    /// watchdog entirely.
+    /// 64 × cycles_to_ns(kBaseRxCycles + kBaseTxCycles)); negative disables
+    /// the watchdog entirely. The watchdog scans four times per budget
+    /// (nic_pipeline.cpp).
     SimDuration watchdog_budget = 0;
-
-    /// Watchdog scan period. 0 derives budget / 4 (min 1 µs).
-    SimDuration watchdog_period = 0;
 
     /// Reorder-window hole timeout: a head-of-line hole older than this is
     /// declared lost and flushed past (DropReason::kReorderTimeout) instead
@@ -140,18 +143,9 @@ struct NpConfig {
     /// (proportionally, before the rings grow), escalating N = start → …
     /// → min modulus while overload persists; disengage below the low
     /// watermark. OFF by default; the watermarks and moduli are constants
-    /// in nic_pipeline.cpp.
+    /// in nic_pipeline.cpp. Island-restart probation
+    /// (NicPipeline::kRestartProbation) engages regardless.
     bool admission_enabled = false;
-
-    /// Island-restart probation (DESIGN.md §16): workers restarted after an
-    /// island blackout re-enter behind a forced admission modulus (drop
-    /// every Nth submission) for `restart_probation`, instead of
-    /// cold-starting the refilled island at full offered rate while its
-    /// scheduler state and flow cache are still re-warming. 0 modulus
-    /// disables probation. Only engages when no one else (control plane,
-    /// overload escalation) already holds the admission valve.
-    std::uint64_t restart_probation_modulus = 8;
-    SimDuration restart_probation = sim::microseconds(500);
   };
   Recovery recovery;
 
@@ -176,10 +170,6 @@ struct NpConfig {
     if (fixed_pipeline_delay < 0) reject("fixed_pipeline_delay must be >= 0");
     if (emc_idle_timeout < 0) reject("emc_idle_timeout must be >= 0");
     if (num_islands == 0) reject("num_islands must be >= 1");
-    if (recovery.restart_probation_modulus == 1)
-      reject("recovery.restart_probation_modulus must be 0 (off) or >= 2");
-    if (recovery.restart_probation < 0)
-      reject("recovery.restart_probation must be >= 0");
   }
 
   /// Failure-domain geometry. Islands partition [0, num_workers) into

@@ -53,10 +53,6 @@ class FlowRouter {
   void track_app(std::uint32_t app_id, stats::ThroughputSeries* series) {
     app_series_[app_id] = series;
   }
-  /// Optional per-app latency collection (Fig. 14).
-  void track_app_latency(std::uint32_t app_id, stats::LatencyStats* lat) {
-    app_latency_[app_id] = lat;
-  }
 
   net::EgressDevice& device() { return device_; }
 
@@ -64,8 +60,6 @@ class FlowRouter {
   void handle_delivered(const net::Packet& pkt) {
     if (auto it = app_series_.find(pkt.app_id); it != app_series_.end())
       it->second->add(pkt.wire_tx_done, pkt.wire_bytes);
-    if (auto it = app_latency_.find(pkt.app_id); it != app_latency_.end())
-      it->second->add(pkt.delivered_at - pkt.created_at);
     if (auto it = flows_.find(pkt.flow_id); it != flows_.end())
       it->second->on_delivered(pkt);
   }
@@ -77,7 +71,6 @@ class FlowRouter {
   net::EgressDevice& device_;
   std::unordered_map<std::uint32_t, TrafficSource*> flows_;
   std::unordered_map<std::uint32_t, stats::ThroughputSeries*> app_series_;
-  std::unordered_map<std::uint32_t, stats::LatencyStats*> app_latency_;
 };
 
 /// Identity shared by all packets of one flow.

@@ -78,7 +78,7 @@ TEST(BackendFuzz, DifferentialShareOracleHoldsPerBackend) {
       const CheckReport report = run_seed(seed, opts);
       EXPECT_TRUE(report.ok())
           << core::backend_kind_name(kind) << ": " << report.summary();
-      EXPECT_LE(report.worst_share_delta, opts.share_tolerance);
+      EXPECT_LE(report.worst_share_delta, check::kDifferentialTolerance);
     }
   }
 }

@@ -99,6 +99,21 @@ TEST(BenchHarness, RejectsFlagsTheProgramDoesNotTake) {
               ::testing::ExitedWithCode(2), "usage: bench");
 }
 
+TEST(BenchHarness, RejectsMalformedJobCounts) {
+  char prog[] = "bench", jobs[] = "--jobs";
+  for (const char* bad : {"", "-1", "+2", " 2", "1O0", "2x", "0x", "abc",
+                          "4294967296", "99999999999999999999"}) {
+    std::string value = bad;
+    char* argv[] = {prog, jobs, value.data()};
+    EXPECT_EXIT(parse_args(3, argv, "bench", "BENCH_x.json", kJobs),
+                ::testing::ExitedWithCode(2), "bench: --jobs .*got '")
+        << "'" << bad << "'";
+  }
+  char hex[] = "0x10";
+  char* argv[] = {prog, jobs, hex};
+  EXPECT_EQ(parse_args(3, argv, "bench", "BENCH_x.json", kJobs).jobs, 16u);
+}
+
 TEST(BenchHarness, InterleaveAlternatesOrderAfterAWarmUpPair) {
   std::string order;
   const Interleaved r = interleave(

@@ -98,7 +98,7 @@ TEST(FuzzCheck, DifferentialOracleAgreesWithHtb) {
                                      ? std::string()
                                      : report.violations.front().to_string());
     ASSERT_FALSE(report.fv_shares.empty());
-    EXPECT_LT(report.worst_share_delta, opts.share_tolerance);
+    EXPECT_LT(report.worst_share_delta, kDifferentialTolerance);
     // And both sides should sit near the closed-form weighted-fair shares.
     for (std::size_t i = 0; i < report.fv_shares.size(); ++i) {
       EXPECT_NEAR(report.fv_shares[i], report.expected_shares[i], 0.1);

@@ -183,14 +183,11 @@ TEST(BurstExact, DegradedCacheDwellCountsReplayedHits) {
   // A collision storm degrades the cache; a resident flow then bursts. Each
   // of its lookups, replayed or not, decays the pressure score and serves
   // the degraded dwell, so the burst walks the cache back to healthy and a
-  // following burst of new flows is admitted.
-  ExactMatchFlowCache::Options emc;
-  emc.capacity = 4096;
-  emc.degrade_threshold = 4;
-  emc.decay_interval_lookups = 1;
-  emc.min_degraded_dwell = 8;
-  emc.recovery_admit_every = 2;
-  emc.recovery_clean_lookups = 8;
+  // following burst of new flows is admitted. At the shipped thresholds
+  // that takes kMinDegradedDwell + kRecoveryCleanLookups lookups.
+  const ExactMatchFlowCache::Options emc{.capacity = 4096};
+  const std::size_t heal = ExactMatchFlowCache::kMinDegradedDwell +
+                           ExactMatchFlowCache::kRecoveryCleanLookups;
   for (BackendKind backend : kBackends) {
     SCOPED_TRACE(backend_kind_name(backend));
     Probe batched(backend, emc);
@@ -212,7 +209,7 @@ TEST(BurstExact, DegradedCacheDwellCountsReplayedHits) {
     }
     ASSERT_LT(resident, 8u);
 
-    feed(batched, single, train(0, resident, 32), sim::microseconds(3));
+    feed(batched, single, train(0, resident, heal), sim::microseconds(3));
     EXPECT_EQ(single.cache().health(), ExactMatchFlowCache::Health::kHealthy);
     std::vector<net::Packet> fresh;
     for (std::uint32_t f = 50; f < 58; ++f) fresh.push_back(packet(1, f));

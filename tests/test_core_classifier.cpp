@@ -274,8 +274,7 @@ TEST(ClassifierTest, EpochBumpDoesNotFlushWholeCache) {
 
 TEST(ClassifierTest, CycleCostModelOrdering) {
   // A miss walking many rules costs more than a hit; deeper walks cost more.
-  ClassifierCosts costs;
-  Classifier c(costs);
+  Classifier c;
   for (std::uint32_t i = 0; i < 10; ++i) {
     FilterRule r;
     r.pref = i;
@@ -285,9 +284,10 @@ TEST(ClassifierTest, CycleCostModelOrdering) {
   }
   net::Packet deep = make_packet(0, make_tuple(0x0a000001, 1009));
   const auto miss = c.classify(deep, 1);
-  EXPECT_GE(miss.cycles, costs.cache_miss_cycles + 10 * costs.per_rule_cycles);
+  EXPECT_GE(miss.cycles,
+            Classifier::kCacheMissCycles + 10 * Classifier::kPerRuleCycles);
   const auto hit = c.classify(deep, 2);
-  EXPECT_EQ(hit.cycles, costs.cache_hit_cycles);
+  EXPECT_EQ(hit.cycles, Classifier::kCacheHitCycles);
 }
 
 }  // namespace

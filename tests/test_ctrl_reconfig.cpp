@@ -42,8 +42,17 @@ ctrl::PolicyUpdate weight_delta(const std::string& cls, double weight) {
   return u;
 }
 
+using Manager = ctrl::ReconfigManager;
+
+/// Updates are applied at kApplyAt; by kSettled a rollout has had time to
+/// stall and then sit out its whole probation, so every update has
+/// committed or rolled back.
+constexpr sim::SimTime kApplyAt = sim::milliseconds(2);
+constexpr sim::SimTime kSettled =
+    kApplyAt + Manager::kStallTimeout + Manager::kProbation + sim::milliseconds(1);
+
 /// Full stack with a live control plane: 4-worker pipeline, two CBR flows
-/// overloading a 10G link, tracker + manager with short test timescales.
+/// overloading a 10G link, tracker + manager at the shipped timescales.
 struct Stack {
   sim::Simulator sim;
   core::FlowValveEngine engine;
@@ -62,13 +71,6 @@ struct Stack {
     return cfg;
   }
 
-  static ctrl::ReconfigManager::Options fast_options() {
-    ctrl::ReconfigManager::Options o;
-    o.stall_timeout = sim::microseconds(500);
-    o.probation = sim::milliseconds(1);
-    return o;
-  }
-
   explicit Stack(const char* policy = kPolicy)
       : engine(np::engine_options_for(config())),
         processor(engine),
@@ -76,7 +78,7 @@ struct Stack {
         router(pipeline) {
     EXPECT_EQ(engine.configure(policy), "");
     mgr = std::make_unique<ctrl::ReconfigManager>(sim, pipeline, engine,
-                                                  &tracker, fast_options());
+                                                  &tracker);
     const Rate per_flow = Rate::gigabits_per_sec(6);
     for (unsigned i = 0; i < 2; ++i) {
       traffic::FlowSpec fs;
@@ -182,9 +184,9 @@ TEST(ReconfigValidator, AcceptsWeightRescaleScript) {
 
 TEST(ReconfigRollout, DeltaCommitsAndChangesLivePolicy) {
   Stack s;
-  s.sim.schedule_at(sim::milliseconds(2),
+  s.sim.schedule_at(kApplyAt,
                     [&s] { EXPECT_EQ(s.mgr->apply(weight_delta("gold", 8.0)), ""); });
-  s.run(sim::milliseconds(8));
+  s.run(kSettled);
 
   EXPECT_EQ(s.mgr->state(), ctrl::ReconfigManager::State::kIdle);
   EXPECT_EQ(s.mgr->epoch(), 1u);
@@ -215,9 +217,9 @@ TEST(ReconfigRollout, RejectionLeavesTreeUntouched) {
 
 TEST(ReconfigRollout, MixedEpochConfinedToRolloutWindow) {
   Stack s;
-  s.sim.schedule_at(sim::milliseconds(2),
+  s.sim.schedule_at(kApplyAt,
                     [&s] { s.mgr->apply(weight_delta("silver", 5.0)); });
-  s.run(sim::milliseconds(8));
+  s.run(kSettled);
   // Whatever mixed-epoch packets occurred, they were all inside the rollout
   // window of the single update (tracked per record, totalled in stats).
   ASSERT_EQ(s.tracker.records().size(), 1u);
@@ -230,9 +232,9 @@ TEST(ReconfigRollout, MixedEpochConfinedToRolloutWindow) {
 TEST(ReconfigRollback, TornUpdateDetectedAndRolledBack) {
   Stack s;
   s.mgr->fault_tear_update(1);  // every staged class loses its word
-  s.sim.schedule_at(sim::milliseconds(2),
+  s.sim.schedule_at(kApplyAt,
                     [&s] { EXPECT_EQ(s.mgr->apply(weight_delta("gold", 8.0)), ""); });
-  s.run(sim::milliseconds(8));
+  s.run(kSettled);
 
   EXPECT_EQ(s.mgr->stats().rolled_back, 1u);
   EXPECT_EQ(s.mgr->stats().committed, 0u);
@@ -248,9 +250,9 @@ TEST(ReconfigRollback, TornUpdateDetectedAndRolledBack) {
 TEST(ReconfigRollback, StaleEpochWorkerStallsThenRollsBack) {
   Stack s;
   s.mgr->fault_stale_worker(0);
-  s.sim.schedule_at(sim::milliseconds(2),
+  s.sim.schedule_at(kApplyAt,
                     [&s] { s.mgr->apply(weight_delta("gold", 8.0)); });
-  s.run(sim::milliseconds(8));
+  s.run(kSettled);
 
   EXPECT_EQ(s.mgr->stats().rolled_back, 1u);
   const core::SchedulingTree& tree = s.engine.tree();
@@ -263,9 +265,9 @@ TEST(ReconfigRollback, RollbackIsDeterministic) {
   auto run_once = [] {
     Stack s;
     s.mgr->fault_tear_update(1);
-    s.sim.schedule_at(sim::milliseconds(2),
+    s.sim.schedule_at(kApplyAt,
                       [&s] { s.mgr->apply(weight_delta("gold", 8.0)); });
-    s.run(sim::milliseconds(8));
+    s.run(kSettled);
     return std::make_tuple(s.pipeline.stats().forwarded_to_wire,
                            s.pipeline.stats().wire_bytes, s.mgr->epoch(),
                            s.tracker.records()[0].rolled_back_at);
@@ -276,9 +278,9 @@ TEST(ReconfigRollback, RollbackIsDeterministic) {
 TEST(ReconfigRollback, GuardRegressionTriggersRollback) {
   Stack s;
   s.mgr->set_guard([](sim::SimTime) { return std::string("synthetic metric regression"); });
-  s.sim.schedule_at(sim::milliseconds(2),
+  s.sim.schedule_at(kApplyAt,
                     [&s] { s.mgr->apply(weight_delta("gold", 8.0)); });
-  s.run(sim::milliseconds(8));
+  s.run(kSettled);
   EXPECT_EQ(s.mgr->stats().rolled_back, 1u);
   ASSERT_EQ(s.tracker.records().size(), 1u);
   EXPECT_NE(s.tracker.records()[0].outcome.find("synthetic metric regression"),
@@ -287,12 +289,13 @@ TEST(ReconfigRollback, GuardRegressionTriggersRollback) {
 
 TEST(ReconfigRollback, OperatorRollbackRestoresPriorPolicy) {
   Stack s;
-  s.sim.schedule_at(sim::milliseconds(2),
+  s.sim.schedule_at(kApplyAt,
                     [&s] { s.mgr->apply(weight_delta("gold", 8.0)); });
-  // Mid-probation (cutover is fast under load; probation is 1ms).
-  s.sim.schedule_at(sim::milliseconds(3),
+  // Mid-probation (cutover is fast under load).
+  static_assert(sim::milliseconds(1) < Manager::kProbation);
+  s.sim.schedule_at(kApplyAt + sim::milliseconds(1),
                     [&s] { EXPECT_TRUE(s.mgr->rollback("operator")); });
-  s.run(sim::milliseconds(8));
+  s.run(kSettled);
   const core::SchedulingTree& tree = s.engine.tree();
   EXPECT_DOUBLE_EQ(tree.at(tree.find("gold")).policy.weight, 2.0);
   EXPECT_EQ(s.mgr->stats().rolled_back, 1u);
@@ -301,8 +304,9 @@ TEST(ReconfigRollback, OperatorRollbackRestoresPriorPolicy) {
 
 TEST(ReconfigStorm, UpdatesCoalesceToNewestPending) {
   Stack s;
-  s.sim.schedule_at(sim::milliseconds(2), [&s] { s.mgr->storm(8); });
-  s.run(sim::milliseconds(12));
+  s.sim.schedule_at(kApplyAt, [&s] { s.mgr->storm(8); });
+  // Two rollouts back to back, each through its probation.
+  s.run(kSettled + Manager::kProbation);
   const ctrl::ReconfigManager::Stats& st = s.mgr->stats();
   EXPECT_EQ(st.applied, 8u);
   EXPECT_EQ(st.coalesced, 6u);  // first starts, the other 7 overwrite a queue of 1
@@ -321,7 +325,7 @@ TEST(ReconfigFaultPlane, TornUpdateThroughScheduleRollsBack) {
   ev.at = sim::milliseconds(1);
   ev.duration = sim::milliseconds(6);
   plane.arm({ev});
-  s.sim.schedule_at(sim::milliseconds(2),
+  s.sim.schedule_at(kApplyAt,
                     [&s] { s.mgr->apply(weight_delta("gold", 8.0)); });
   s.run(sim::milliseconds(12));
   plane.finalize();
@@ -344,10 +348,10 @@ TEST(ReconfigCache, FilterSwapInvalidatesStaleEntriesLazily) {
       "fv class add dev nic0 parent 1: classid 1:11 name silver weight 1\n"
       "fv filter add dev nic0 pref 1 vf 0 classid 1:11\n"
       "fv filter add dev nic0 pref 2 vf 1 classid 1:10\n";
-  s.sim.schedule_at(sim::milliseconds(2), [&s, &u] {
+  s.sim.schedule_at(kApplyAt, [&s, &u] {
     EXPECT_EQ(s.mgr->apply(u), "");
   });
-  s.run(sim::milliseconds(8));
+  s.run(kSettled);
 
   EXPECT_EQ(s.mgr->stats().committed, 1u);
   // The swap bumped the label epoch instead of flushing: stale cached
@@ -364,9 +368,9 @@ TEST(ReconfigCache, FilterSwapInvalidatesStaleEntriesLazily) {
 
 TEST(ReconfigObs, TrackerJsonRoundTrip) {
   Stack s;
-  s.sim.schedule_at(sim::milliseconds(2),
+  s.sim.schedule_at(kApplyAt,
                     [&s] { s.mgr->apply(weight_delta("gold", 4.0)); });
-  s.run(sim::milliseconds(8));
+  s.run(kSettled);
   obs::JsonWriter w;
   obs::reconfig_json(w, s.tracker);
   const std::string json = w.str();

@@ -84,7 +84,7 @@ TEST(SuperpacketOptions, ScaleBucketsAndEpochs) {
   EXPECT_GE(opt.params.min_burst_bytes, 2.0 * kSuperPacketBytes);
   EXPECT_GE(opt.params.burst_window, opt.params.update_interval);
   // Lock hold must match the NP clock (320 cycles at 1.2 GHz ≈ 267 ns).
-  EXPECT_NEAR(static_cast<double>(opt.sched_costs.lock_hold_ns), 267.0, 2.0);
+  EXPECT_NEAR(static_cast<double>(opt.lock_hold_ns), 267.0, 2.0);
 }
 
 TEST(Fig13Provisioning, CoreRuleMatchesPaper) {

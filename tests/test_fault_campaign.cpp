@@ -12,8 +12,10 @@
 
 #include "check/cli_options.h"
 #include "check/fuzzer.h"
+#include "check/recovery_slo.h"
 #include "check/runner.h"
 #include "fault/fault.h"
+#include "np/nic_pipeline.h"
 #include "np/np_config.h"
 
 namespace flowvalve::check {
@@ -95,7 +97,9 @@ TEST(FaultCampaign, ScheduleIsDeterministicAndWellFormed) {
       EXPECT_GT(a[i].duration, 0) << "campaign events must all clear";
       EXPECT_LE(a[i].at + a[i].duration, horizon * 9 / 10)
           << "seed " << seed << " event " << i << " clears too late";
-      if (i + 1 < a.size()) EXPECT_LE(a[i].at, a[i + 1].at);
+      if (i + 1 < a.size()) {
+        EXPECT_LE(a[i].at, a[i + 1].at);
+      }
       switch (a[i].kind) {
         case fault::FaultKind::kIslandBlackout:
           EXPECT_TRUE(islands_hit.insert(a[i].worker).second)
@@ -148,11 +152,11 @@ TEST_P(BlackoutMatrix, SurvivesWithConservationIntact) {
   const auto [backend, batch] = GetParam();
   FuzzScenario sc = generate_differential_scenario(1);
   sc.nic.recovery.admission_enabled = true;
+  sc.nic.backend = backend;
+  sc.nic.batch_size = batch;
   RunOptions opts;
   opts.differential = true;
   opts.campaign = true;  // arms the RecoverySloChecker
-  opts.backend = backend;
-  opts.batch_size = batch;
   opts.faults = fault::single_fault(fault::FaultKind::kIslandBlackout,
                                     sc.horizon * 2 / 5, sc.horizon / 5,
                                     sc.nic);
@@ -186,15 +190,33 @@ INSTANTIATE_TEST_SUITE_P(
 // --- Recovery-SLO oracle -------------------------------------------------
 
 TEST(RecoverySlo, FiresOnImpossibleMttrBound) {
-  RunOptions opts;
-  opts.campaign = true;
-  opts.slo_recovery_bound = 1;  // 1 ns: no real recovery can meet this
-  const CheckReport report = run_seed(1, opts);
-  EXPECT_FALSE(report.ok());
-  bool from_slo = false;
-  for (const Violation& v : report.violations)
-    if (v.checker == "recovery-slo") from_slo = true;
-  EXPECT_TRUE(from_slo) << report.summary();
+  // Two episodes clear at the campaign's quiet instant: the one probed
+  // healthy exactly at the bound passes, the one a nanosecond later fails.
+  sim::Simulator sim;
+  np::NullProcessor proc;
+  np::NicPipeline pipeline(sim, np::NpConfig{}, proc);
+  CheckHarness harness(sim, pipeline, nullptr);
+  const sim::SimTime quiet = sim::milliseconds(10);
+  obs::RecoveryTracker tracker;
+  obs::FaultRecord on_time;
+  on_time.kind = "wire-dip";
+  on_time.injected_at = sim::milliseconds(5);
+  on_time.cleared_at = quiet;
+  on_time.recovered_at = quiet + RecoverySloChecker::kRecoveryBound;
+  tracker.record(on_time);
+  obs::FaultRecord late = on_time;
+  late.kind = "worker-crash";
+  ++late.recovered_at;
+  tracker.record(late);
+  RecoverySloChecker::Options so;
+  so.quiet_at = quiet;
+  so.horizon = sim::milliseconds(100);
+  harness.add(std::make_unique<RecoverySloChecker>(&tracker, so));
+  harness.finish();
+  ASSERT_EQ(harness.sink().total(), 1u);
+  const Violation& v = harness.sink().violations().front();
+  EXPECT_EQ(v.checker, "recovery-slo");
+  EXPECT_EQ(v.detail.rfind("worker-crash recovery took", 0), 0u) << v.detail;
 }
 
 // --- CLI repro round-trip ------------------------------------------------
@@ -221,16 +243,14 @@ std::vector<std::string> split_words(const std::string& line) {
 TEST(CliRepro, ReproLineRoundTripsEveryRunOption) {
   std::vector<std::string> tokens = {
       "fuzz_check",    "--seed",        "0x2a",
-      "--differential", "--tolerance",  "0.07",
-      "--campaign",    "--slo-bound-ms", "25",
+      "--differential", "--campaign",
       "--storm",       "both",          "--reconfig",
       "3",             "--horizon-ms",  "12",
       "--batch",       "32",            "--backend",
       "stfq",          "--scheduler",   "heap",
       "--jobs",        "4",             "--fault-event",
       "worker-crash@100,200,1,1,0,0",   "--inject-fault",
-      "leak",          "--every",       "53",
-      "-v"};
+      "leak",          "-v"};
   std::vector<char*> argv = to_argv(tokens);
   CliOptions first;
   ASSERT_EQ(parse_cli(static_cast<int>(argv.size()), argv.data(), first),
@@ -238,11 +258,10 @@ TEST(CliRepro, ReproLineRoundTripsEveryRunOption) {
   // Everything parsed must be emitted back...
   const std::string repro = repro_command(first, first.start_seed);
   for (const char* flag :
-       {"--differential", "--tolerance", "--campaign", "--slo-bound-ms",
-        "--storm both", "--reconfig 3", "--horizon-ms 12", "--batch 32",
-        "--backend stfq", "--scheduler heap", "--jobs 4",
-        "--fault-event worker-crash@100,200,1,1,0,0", "--inject-fault leak",
-        "--every 53"})
+       {"--differential", "--campaign", "--storm both", "--reconfig 3",
+        "--horizon-ms 12", "--batch 32", "--backend stfq", "--scheduler heap",
+        "--jobs 4", "--fault-event worker-crash@100,200,1,1,0,0",
+        "--inject-fault leak"})
     EXPECT_NE(repro.find(flag), std::string::npos)
         << "repro line lost '" << flag << "': " << repro;
   // ...and parsing the emitted line must reproduce the exact same options:
@@ -259,6 +278,77 @@ TEST(CliRepro, ReproLineRoundTripsEveryRunOption) {
   for (std::size_t i = 0; i < first.opts.faults.size(); ++i)
     EXPECT_EQ(fault::format_fault_event(first.opts.faults[i]),
               fault::format_fault_event(second.opts.faults[i]));
+}
+
+CliParseResult parse_tokens(std::vector<std::string> tokens, CliOptions& out) {
+  tokens.insert(tokens.begin(), "fuzz_check");
+  std::vector<char*> argv = to_argv(tokens);
+  return parse_cli(static_cast<int>(argv.size()), argv.data(), out);
+}
+
+TEST(CliParse, RejectsMalformedNumbers) {
+  for (const char* flag :
+       {"--seeds", "--start", "--seed", "--jobs", "--reconfig", "--horizon-ms",
+        "--batch"}) {
+    for (const char* bad : {"", "-1", "+1", " 1", "1O0", "12ms", "0x", "x1"}) {
+      CliOptions cli;
+      EXPECT_EQ(parse_tokens({flag, bad}, cli), CliParseResult::kError)
+          << flag << " '" << bad << "'";
+    }
+    CliOptions cli;
+    EXPECT_EQ(parse_tokens({flag, "99999999999999999999"}, cli),
+              CliParseResult::kError)
+        << flag << " past 64 bits";
+  }
+  // Out of range for the destination: unsigned fields, the horizon in ns,
+  // and the corpus's last seed.
+  for (const char* flag : {"--jobs", "--reconfig", "--batch"}) {
+    CliOptions cli;
+    EXPECT_EQ(parse_tokens({flag, "4294967296"}, cli), CliParseResult::kError)
+        << flag;
+  }
+  CliOptions cli;
+  EXPECT_EQ(parse_tokens({"--horizon-ms", "9223372036855"}, cli),
+            CliParseResult::kError);
+  EXPECT_EQ(parse_tokens({"--start", "0xffffffffffffffff", "--seeds", "2"}, cli),
+            CliParseResult::kError);
+  // The flags the constants replaced are gone.
+  for (const char* gone : {"--tolerance", "--slo-bound-ms", "--every"})
+    EXPECT_EQ(parse_tokens({gone, "1"}, cli), CliParseResult::kError) << gone;
+}
+
+TEST(CliParse, AcceptsEdgeOfRangeNumbers) {
+  CliOptions cli;
+  ASSERT_EQ(parse_tokens({"--jobs", "4294967295", "--batch", "0x20",
+                          "--horizon-ms", "9223372036854", "--start",
+                          "0xfffffffffffffffe", "--seeds", "1"},
+                         cli),
+            CliParseResult::kOk);
+  EXPECT_EQ(cli.jobs, 4294967295u);
+  EXPECT_EQ(cli.opts.batch_size, 32u);
+  EXPECT_EQ(cli.opts.horizon_override, sim::milliseconds(9223372036854));
+  EXPECT_EQ(cli.start_seed, 0xfffffffffffffffeULL);
+  EXPECT_EQ(cli.num_seeds, 1u);
+}
+
+// --- Verbose description -------------------------------------------------
+
+TEST(VerboseDescription, NamesWhatTheSeedRuns) {
+  RunOptions opts;
+  opts.storm_collision = true;
+  opts.storm_churn = true;
+  opts.batch_size = 1;
+  opts.backend = core::BackendKind::kEiffel;
+  opts.horizon_override = sim::milliseconds(7);
+  const std::string d = resolve_seed(5, opts).describe();
+  EXPECT_NE(d.find("hash-collision-storm"), std::string::npos) << d;
+  EXPECT_NE(d.find("churn-storm"), std::string::npos) << d;
+  EXPECT_NE(d.find("admission on"), std::string::npos) << d;
+  EXPECT_NE(d.find("batch 1,"), std::string::npos) << d;
+  EXPECT_NE(d.find("backend eiffel"), std::string::npos) << d;
+  EXPECT_NE(d.find("horizon 7 ms"), std::string::npos) << d;
+  EXPECT_NE(resolve_seed(5, RunOptions{}).describe().find("faults: none"),
+            std::string::npos);
 }
 
 // --- Minimizer -----------------------------------------------------------

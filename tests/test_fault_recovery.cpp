@@ -14,6 +14,7 @@
 #include "check/fuzzer.h"
 #include "check/runner.h"
 #include "fault/fault.h"
+#include "fault/fault_plane.h"
 #include "np/nic_pipeline.h"
 #include "sim/simulator.h"
 
@@ -29,14 +30,14 @@ net::Packet packet_on(std::uint16_t vf, std::uint64_t id) {
   return p;
 }
 
-/// Worker-bound pipeline: 2 slow workers (~100 µs per packet) on a fast
-/// wire, so a crashed worker is guaranteed to be holding a packet.
+/// Worker-bound pipeline: 2 slow workers (~100 µs per packet: the fixed
+/// per-packet cycles at a slowed clock) on a fast wire, so a crashed worker
+/// is guaranteed to be holding a packet.
 np::NpConfig slow_worker_config() {
   np::NpConfig cfg;
   cfg.num_vfs = 1;
   cfg.num_workers = 2;
-  cfg.base_rx_cycles = 60000;
-  cfg.base_tx_cycles = 60000;
+  cfg.freq_ghz = (np::kBaseRxCycles + np::kBaseTxCycles) / 100'000.0;
   return cfg;
 }
 
@@ -149,13 +150,13 @@ TEST(FaultRecovery, ReorderTimeoutUnwedgesTheWindow) {
 
 /// 4 slow workers in 2 islands: blackout must drop the doomed in-flight
 /// work of exactly its own island, and restart must bring every frozen
-/// worker back with conservation intact.
+/// worker back with conservation intact. Every packet is submitted before
+/// the restart, so the restart's admission probation has nothing to shed.
 TEST(FaultRecovery, IslandBlackoutDropsInFlightAndRestartsCleanly) {
   sim::Simulator sim;
   np::NpConfig cfg = slow_worker_config();
   cfg.num_workers = 4;
   cfg.num_islands = 2;
-  cfg.recovery.restart_probation_modulus = 0;  // probation tested separately
   np::NullProcessor proc;
   np::NicPipeline pipe(sim, cfg, proc);
   int delivered = 0, dropped = 0;
@@ -172,29 +173,32 @@ TEST(FaultRecovery, IslandBlackoutDropsInFlightAndRestartsCleanly) {
   EXPECT_EQ(pipe.stats().workers_repaired, 2u);
   EXPECT_EQ(pipe.in_flight(), 0u);
   EXPECT_EQ(pipe.hung_workers(), 0u);
+  EXPECT_EQ(pipe.stats().admission_drops, 0u);
   EXPECT_EQ(delivered, 10);
   EXPECT_EQ(dropped, 2);
 }
+
+constexpr sim::SimTime kRestartAt = sim::microseconds(100);
+constexpr sim::SimTime kProbationEnd =
+    kRestartAt + np::NicPipeline::kRestartProbation;
 
 TEST(FaultRecovery, IslandRestartProbationEngagesAndAutoReleases) {
   sim::Simulator sim;
   np::NpConfig cfg = slow_worker_config();
   cfg.num_workers = 4;
   cfg.num_islands = 2;
-  cfg.recovery.restart_probation_modulus = 8;
-  cfg.recovery.restart_probation = sim::microseconds(500);
   np::NullProcessor proc;
   np::NicPipeline pipe(sim, cfg, proc);
   sim.schedule_at(sim::microseconds(10),
                   [&] { pipe.fault_blackout_island(0); });
-  sim.schedule_at(sim::microseconds(100), [&] { pipe.restart_island(0); });
+  sim.schedule_at(kRestartAt, [&] { pipe.restart_island(0); });
   // Mid-probation the valve is held by the restart, not a reconfig swap.
-  sim.schedule_at(sim::microseconds(300), [&] {
+  sim.schedule_at((kRestartAt + kProbationEnd) / 2, [&] {
     EXPECT_TRUE(pipe.admission_forced());
     EXPECT_TRUE(pipe.restart_probation_active());
   });
-  // Probation self-releases 500µs after the restart.
-  sim.schedule_at(sim::microseconds(700), [&] {
+  // Probation self-releases kRestartProbation after the restart.
+  sim.schedule_at(kProbationEnd + sim::microseconds(100), [&] {
     EXPECT_FALSE(pipe.admission_forced());
     EXPECT_FALSE(pipe.restart_probation_active());
   });
@@ -209,20 +213,18 @@ TEST(FaultRecovery, ControlPlaneSupersedesRestartProbation) {
   np::NpConfig cfg = slow_worker_config();
   cfg.num_workers = 4;
   cfg.num_islands = 2;
-  cfg.recovery.restart_probation_modulus = 8;
-  cfg.recovery.restart_probation = sim::microseconds(500);
   np::NullProcessor proc;
   np::NicPipeline pipe(sim, cfg, proc);
   sim.schedule_at(sim::microseconds(10),
                   [&] { pipe.fault_blackout_island(0); });
-  sim.schedule_at(sim::microseconds(100), [&] { pipe.restart_island(0); });
-  sim.schedule_at(sim::microseconds(200), [&] {
+  sim.schedule_at(kRestartAt, [&] { pipe.restart_island(0); });
+  sim.schedule_at(kRestartAt + sim::microseconds(100), [&] {
     pipe.control_force_admission(4);  // reconfig swap takes over the valve
     EXPECT_FALSE(pipe.restart_probation_active());
   });
   // Past the probation deadline, the stale timed release must NOT have
   // released the control plane's hold.
-  sim.schedule_at(sim::microseconds(900), [&] {
+  sim.schedule_at(kProbationEnd + sim::microseconds(300), [&] {
     EXPECT_TRUE(pipe.admission_forced());
     pipe.control_release_admission();
   });
@@ -289,8 +291,7 @@ TEST(FaultRecovery, RecoveryTimeIsBoundedByProbeDeadline) {
     ASSERT_TRUE(report.ok()) << fault::fault_kind_name(kind) << ": "
                              << report.summary();
     ASSERT_EQ(report.faults_recovered, 1u) << fault::fault_kind_name(kind);
-    // FaultPlane::Options.probe_deadline default.
-    EXPECT_LE(report.worst_recovery, sim::milliseconds(50))
+    EXPECT_LE(report.worst_recovery, fault::FaultPlane::kProbeDeadline)
         << fault::fault_kind_name(kind);
   }
 }

@@ -292,10 +292,7 @@ TEST(ClassifierRepeat, ReplayGuardRefusesAfterMidBurstEviction) {
 TEST(ClassifierRepeat, SuppressedInsertLeavesNoReplayableResult) {
   // While degraded the miss path cannot admit the entry, so the first
   // result must not claim residency — repeat_would_hit() is the gate.
-  ExactMatchFlowCache::Options opt;
-  opt.capacity = 4096;
-  opt.degrade_threshold = 4;
-  Classifier c(ClassifierCosts{}, opt);
+  Classifier c(ExactMatchFlowCache::Options{.capacity = 4096});
   FilterRule r;
   r.pref = 10;
   r.label = 7;
@@ -313,27 +310,28 @@ TEST(ClassifierRepeat, SuppressedInsertLeavesNoReplayableResult) {
 }
 
 // ---- degraded-mode state machine ------------------------------------------
+// These run the shipped thresholds (ExactMatchFlowCache::kDegradeThreshold
+// and friends). Storm keys are pinned to one bucket pair, so after its
+// 2 × kSlots slots fill, every admitted key is one kick failure.
 
-ExactMatchFlowCache::Options small_degrade_options() {
-  ExactMatchFlowCache::Options opt;
-  opt.capacity = 1024;
-  opt.degrade_threshold = 4;
-  opt.relapse_threshold = 2;
-  opt.failure_score_cap = 8;
-  opt.decay_interval_lookups = 4;
-  opt.min_degraded_dwell = 16;
-  opt.recovery_admit_every = 4;
-  opt.recovery_clean_lookups = 16;
-  return opt;
+using Cache = ExactMatchFlowCache;
+
+/// Storm keys that fill the pinned bucket pair and then fail `failures`
+/// kicks, when one key in `admit_every` gets past the admission gate.
+std::size_t storm_keys(std::uint32_t failures, std::uint32_t admit_every = 1) {
+  return std::size_t{admit_every} * (2 * Cache::kSlots + failures);
 }
 
 /// Drive one full degrade → recover → heal lifecycle and return the stats.
 ExactMatchFlowCache::Stats run_degrade_lifecycle() {
-  ExactMatchFlowCache cache(small_degrade_options());
+  ExactMatchFlowCache cache(ExactMatchFlowCache::Options{.capacity = 1024});
 
   // Collision storm at low load: kick failures raise the pressure score
-  // past the threshold and the admission gate closes.
-  cache.fault_collision_storm(/*seed=*/42, /*n=*/32, /*now_tick=*/1);
+  // past the threshold and the admission gate closes; the rest of the
+  // storm is suppressed.
+  cache.fault_collision_storm(/*seed=*/42,
+                              2 * storm_keys(Cache::kDegradeThreshold),
+                              /*now_tick=*/1);
   EXPECT_EQ(cache.health(), ExactMatchFlowCache::Health::kDegraded);
   EXPECT_EQ(cache.stats().degraded_transitions, 1u);
 
@@ -341,33 +339,40 @@ ExactMatchFlowCache::Stats run_degrade_lifecycle() {
   EXPECT_FALSE(cache.insert(0, tuple_n(0), 1, 2).inserted);
   EXPECT_GT(cache.stats().suppressed_inserts, 0u);
 
-  // The lookup stream decays the score and serves the dwell: after enough
-  // quiet lookups the gate reopens partially (kRecovering).
+  // The lookup stream decays the score and serves the dwell: after
+  // kMinDegradedDwell quiet lookups (by which time the score, one step per
+  // kDecayIntervalLookups, is back to zero) the gate reopens partially.
+  static_assert(Cache::kDegradeThreshold * Cache::kDecayIntervalLookups <=
+                Cache::kMinDegradedDwell);
   std::uint64_t tick = 10;
+  std::uint64_t lookups = 0;
   while (cache.health() == ExactMatchFlowCache::Health::kDegraded) {
     cache.lookup(0, tuple_n(9999), tick++);
-    if (tick >= 10'000) {
+    if (++lookups > 2 * Cache::kMinDegradedDwell) {
       ADD_FAILURE() << "degraded mode never released";
       break;
     }
   }
+  EXPECT_EQ(lookups, Cache::kMinDegradedDwell);
   EXPECT_EQ(cache.health(), ExactMatchFlowCache::Health::kRecovering);
 
-  // Recovering admits 1-in-recovery_admit_every inserts (hysteresis, not a
+  // Recovering admits 1-in-kRecoveryAdmitEvery inserts (hysteresis, not a
   // reopened floodgate).
   std::uint64_t admitted = 0;
-  for (std::uint64_t i = 0; i < 8; ++i)
+  for (std::uint64_t i = 0; i < 2 * Cache::kRecoveryAdmitEvery; ++i)
     admitted += cache.insert(0, tuple_n(100 + i), 1, tick++).inserted;
   EXPECT_EQ(admitted, 2u);
 
   // A clean lookup run completes the recovery; admission is full again.
+  lookups = 0;
   while (cache.health() == ExactMatchFlowCache::Health::kRecovering) {
     cache.lookup(0, tuple_n(9999), tick++);
-    if (tick >= 10'000) {
+    if (++lookups > 2 * Cache::kRecoveryCleanLookups) {
       ADD_FAILURE() << "recovery never completed";
       break;
     }
   }
+  EXPECT_EQ(lookups, Cache::kRecoveryCleanLookups);
   EXPECT_EQ(cache.health(), ExactMatchFlowCache::Health::kHealthy);
   EXPECT_TRUE(cache.insert(0, tuple_n(200), 1, tick).inserted);
   // No flush anywhere in the lifecycle: entries survived degradation.
@@ -391,19 +396,24 @@ TEST(FlowTable, DegradedLifecycleEngagesAndDisengagesDeterministically) {
 }
 
 TEST(FlowTable, RelapseDuringRecoveryReclosesTheGate) {
-  ExactMatchFlowCache cache(small_degrade_options());
-  cache.fault_collision_storm(42, 32, 1);
+  ExactMatchFlowCache cache(ExactMatchFlowCache::Options{.capacity = 1024});
+  cache.fault_collision_storm(42, storm_keys(Cache::kDegradeThreshold), 1);
   ASSERT_EQ(cache.health(), ExactMatchFlowCache::Health::kDegraded);
   std::uint64_t tick = 10;
   while (cache.health() == ExactMatchFlowCache::Health::kDegraded)
     cache.lookup(0, tuple_n(9999), tick++);
   ASSERT_EQ(cache.health(), ExactMatchFlowCache::Health::kRecovering);
-  // The storm resumes: a lower relapse threshold closes the gate again.
-  // (It must be larger than the first — while recovering, the admission
-  // gate already swallows 3 of every 4 storm keys before they can fail.)
-  cache.fault_collision_storm(43, 128, tick);
+  // The storm resumes: the lower relapse threshold closes the gate again
+  // after kRelapseThreshold failures, fewer than the kDegradeThreshold it
+  // took from healthy. While recovering, the admission gate swallows all
+  // but one in kRecoveryAdmitEvery storm keys before they can fail.
+  static_assert(Cache::kRelapseThreshold < Cache::kDegradeThreshold);
+  cache.fault_collision_storm(
+      43, storm_keys(Cache::kRelapseThreshold, Cache::kRecoveryAdmitEvery),
+      tick);
   EXPECT_EQ(cache.health(), ExactMatchFlowCache::Health::kDegraded);
   EXPECT_EQ(cache.stats().degraded_transitions, 2u);
+  EXPECT_EQ(cache.failure_score(), Cache::kRelapseThreshold);
 }
 
 }  // namespace
@@ -434,12 +444,13 @@ TEST(ChurnSoak, MillionLiveFlowsSurviveStormsOnEveryBackendAndBatch) {
        {core::BackendKind::kFlowValve, core::BackendKind::kStfq,
         core::BackendKind::kEiffel}) {
     for (unsigned batch : {1u, 32u}) {
+      FuzzScenario run = sc;
+      run.nic.backend = backend;
+      run.nic.batch_size = batch;
       RunOptions opts;
-      opts.backend = backend;
-      opts.batch_size = batch;
       opts.storm_collision = true;
       opts.storm_churn = true;
-      const CheckReport report = run_scenario(sc, opts);
+      const CheckReport report = run_scenario(run, opts);
       EXPECT_TRUE(report.ok())
           << core::backend_kind_name(backend) << " batch " << batch << ": "
           << report.summary() << "\n"

@@ -416,8 +416,8 @@ TEST(NpBatchEdge, WatchdogSalvagesWholeInFlightBurst) {
   cfg.num_vfs = 1;
   cfg.num_workers = 1;
   cfg.batch_size = 32;
-  cfg.base_rx_cycles = 60000;
-  cfg.base_tx_cycles = 60000;
+  // ~100 µs per packet: the fixed per-packet cycles at a slowed clock.
+  cfg.freq_ghz = (kBaseRxCycles + kBaseTxCycles) / 100'000.0;
   cfg.recovery.watchdog_budget = sim::microseconds(150);
   NullProcessor proc;
   NicPipeline pipe(sim, cfg, proc);
@@ -577,7 +577,7 @@ TEST(NpBatchEdge, LatencyRecorderSeesPerPacketServiceNotBurstTotal) {
 
   const std::uint64_t per_packet =
       static_cast<std::uint64_t>(cfg.cycles_to_ns(
-          cfg.base_rx_cycles + cfg.base_tx_cycles));
+          kBaseRxCycles + kBaseTxCycles));
   const auto& service = tap.rec.segment(obs::Segment::kService);
   ASSERT_EQ(service.count(), 64u);
   EXPECT_EQ(service.min(), per_packet);

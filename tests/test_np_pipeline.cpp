@@ -105,7 +105,8 @@ TEST(NicPipelineTest, VfRingOverflowDrops) {
   NpConfig cfg = agilio_cx_40g();
   cfg.vf_ring_capacity = 4;
   cfg.num_workers = 1;
-  cfg.base_rx_cycles = 120000;  // slow worker → ring backs up
+  // Slow worker (~100 µs per packet) → ring backs up.
+  cfg.freq_ghz = (kBaseRxCycles + kBaseTxCycles) / 100'000.0;
   NullProcessor proc;
   NicPipeline pipe(sim, cfg, proc);
   int sync_rejects = 0;
@@ -115,12 +116,10 @@ TEST(NicPipelineTest, VfRingOverflowDrops) {
 }
 
 TEST(NicPipelineTest, WorkerCapacityBoundsThroughput) {
-  // 50 workers × 1.2 GHz / 3000 cycles = 20 Mpps; offered 40 Mpps of tiny
-  // packets → delivered ≈ 20 Mpps.
+  // 50 workers × 1.2 GHz / 2800 cycles ≈ 21.4 Mpps; offered 40 Mpps of
+  // tiny packets → delivered ≈ the worker capacity.
   sim::Simulator sim;
   NpConfig cfg = agilio_cx_40g();
-  cfg.base_rx_cycles = 1500;
-  cfg.base_tx_cycles = 1500;
   NullProcessor proc;
   NicPipeline pipe(sim, cfg, proc);
   std::uint64_t delivered = 0;
@@ -137,7 +136,7 @@ TEST(NicPipelineTest, WorkerCapacityBoundsThroughput) {
   const double util = pipe.worker_utilization(sim.now());
   sim.run_until(horizon + sim::milliseconds(1));
   const double mpps = static_cast<double>(delivered) / sim::to_seconds(horizon) / 1e6;
-  EXPECT_NEAR(mpps, 20.0, 1.5);
+  EXPECT_NEAR(mpps, cfg.peak_pps(kBaseRxCycles + kBaseTxCycles) / 1e6, 1.5);
   EXPECT_GT(util, 0.9);
 }
 
@@ -152,7 +151,7 @@ TEST(NicPipelineTest, UtilizationNeverExceedsOneUnderSaturation) {
   cfg.num_workers = 2;
   cfg.num_vfs = 1;
   cfg.vf_ring_capacity = 4096;
-  cfg.base_rx_cycles = 60000;  // ~50 us per packet at 1.2 GHz
+  cfg.freq_ghz = (kBaseRxCycles + kBaseTxCycles) / 50'000.0;  // ~50 us per packet
   NullProcessor proc;
   NicPipeline pipe(sim, cfg, proc);
   for (int i = 0; i < 500; ++i) pipe.submit(packet_on(0));
@@ -243,7 +242,7 @@ TEST(NicPipelineTest, ProcessingCyclesAccumulate) {
   sim.run_until(sim::milliseconds(1));
   EXPECT_EQ(pipe.stats().processed, 10u);
   EXPECT_EQ(pipe.stats().processing_cycles,
-            10ull * (cfg.base_rx_cycles + 500 + cfg.base_tx_cycles));
+            10ull * (kBaseRxCycles + 500 + kBaseTxCycles));
 }
 
 }  // namespace

@@ -147,7 +147,7 @@ TEST(LatencyRecorder, DecomposesSojournIntoSegments) {
   EXPECT_EQ(lat.recorded(), 1u);
   EXPECT_EQ(lat.pending(), 0u);
   const auto busy_ns = static_cast<std::uint64_t>(
-      cfg.cycles_to_ns(cfg.base_rx_cycles + 1000 + cfg.base_tx_cycles));
+      cfg.cycles_to_ns(np::kBaseRxCycles + 1000 + np::kBaseTxCycles));
   EXPECT_EQ(lat.segment(Segment::kVfWait).max(), 0u);      // idle worker
   EXPECT_EQ(lat.segment(Segment::kService).max(), busy_ns);
   EXPECT_EQ(lat.segment(Segment::kReorderHold).max(), 0u); // in-order

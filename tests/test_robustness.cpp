@@ -84,9 +84,7 @@ TEST(Robustness, AsymmetricConnectionCountsStillClassFair) {
 // Flow churn: thousands of short-lived flows stress the exact-match cache
 // (evictions) without breaking classification or scheduling.
 TEST(Robustness, FlowChurnThroughTinyCache) {
-  core::FlowValveEngine::Options opt;
-  opt.classifier_costs = {};
-  core::FlowValveEngine engine(opt);
+  core::FlowValveEngine engine;
   // Note: cache capacity is fixed at engine construction; use the default
   // classifier but hammer it with far more flows than one set holds.
   ASSERT_EQ(engine.configure(exp::fair_queueing_script(Rate::gigabits_per_sec(40), 4)),

@@ -277,22 +277,18 @@ TEST(AppProcessTest, SetConnectionsGrowsAndShrinks) {
   EXPECT_GT(app.packets_sent(), 0u);
 }
 
-TEST(FlowRouterTest, TracksAppSeriesAndLatency) {
+TEST(FlowRouterTest, TracksAppSeries) {
   sim::Simulator sim;
   BottleneckDevice dev(sim, Rate::gigabits_per_sec(100), sim::microseconds(10));
   IdAllocator ids;
   FlowRouter router(dev);
   stats::ThroughputSeries series(sim::milliseconds(10));
-  stats::LatencyStats lat;
   router.track_app(3, &series);
-  router.track_app_latency(3, &lat);
   CbrFlow flow(sim, router, ids, spec_for(ids, 3, 1000), Rate::gigabits_per_sec(1),
                sim::Rng(3), 0.0);
   flow.start();
   sim.run_until(sim::milliseconds(20));
   EXPECT_GT(series.total_bytes(), 0u);
-  EXPECT_GT(lat.count(), 0u);
-  EXPECT_NEAR(lat.mean_us(), 10.0, 0.5);
 }
 
 }  // namespace
