@@ -128,13 +128,15 @@ void OnOffFlow::toggle() {
       rng_.exponential(static_cast<double>(on_ ? mean_on_ : mean_off_)));
   toggle_event_ = sim_.schedule_after(std::max<SimDuration>(1, hold), [this] {
     on_ = !on_;
+    // One send chain: OFF drops the pending send, ON starts a new chain.
+    send_event_.cancel();
     if (on_) send_next();
     toggle();
   });
 }
 
 void OnOffFlow::send_next() {
-  if (!active_ || !on_) return;
+  if (!active_) return;
   net::Packet pkt = make_packet(spec_, ids_, sim_.now(), seq_++);
   ++sent_;
   router_.device().submit(std::move(pkt));

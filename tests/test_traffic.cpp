@@ -2,7 +2,9 @@
 // generators, and the AppProcess grouping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "sim/simulator.h"
 #include "traffic/app.h"
@@ -234,6 +236,46 @@ TEST(OnOffFlowTest, DutyCycleScalesRate) {
   const double full_rate_pkts = 2e9 * 0.5 / 8.0 / 1000.0;
   EXPECT_NEAR(static_cast<double>(flow.packets_sent()), full_rate_pkts * 0.5,
               full_rate_pkts * 0.2);
+}
+
+/// Sink that accepts every packet at once and keeps its submission instant.
+class InstantSink final : public net::EgressDevice {
+ public:
+  bool submit(net::Packet pkt) override {
+    created.push_back(pkt.created_at);
+    deliver(pkt);
+    return true;
+  }
+  std::vector<sim::SimTime> created;
+};
+
+TEST(OnOffFlowTest, KeepsOneSendChainAcrossShortOffPeriods) {
+  // The fuzz runner's on/off flow: a 100 Mbps flow bursting at 200 Mbps,
+  // 1518 B frames, 1 ms mean ON and OFF. Many OFF periods end before the
+  // pending send would fire; the ON period after one must not run a second
+  // chain beside it. Two chains sent 18184 packets here, 1407 of them less
+  // than a burst gap after the previous one.
+  sim::Simulator sim;
+  InstantSink sink;
+  IdAllocator ids;
+  FlowRouter router(sink);
+  OnOffFlow flow(sim, router, ids, spec_for(ids, 0, 1518), Rate::megabits_per_sec(200),
+                 sim::milliseconds(1), sim::milliseconds(1), sim::Rng(7));
+  flow.start();
+  std::size_t most_pending = 0;
+  while (sim.step() && sim.now() <= sim::seconds(2))
+    most_pending = std::max(most_pending, sim.pending_events());
+  EXPECT_LE(most_pending, 2u);  // the next toggle and at most one send
+
+  const sim::SimDuration burst_gap = 60'720;  // 1518 B at 200 Mbps
+  std::size_t sent = 0, short_gaps = 0;
+  for (std::size_t i = 0; i < sink.created.size() && sink.created[i] <= sim::seconds(2);
+       ++i, ++sent)
+    if (i > 0 && sink.created[i] - sink.created[i - 1] < burst_gap) ++short_gaps;
+  // One chain: a short gap only where an ON period starts soon after the
+  // last send of the one before.
+  EXPECT_EQ(sent, 17'476u);
+  EXPECT_EQ(short_gaps, 40u);
 }
 
 TEST(AppProcessTest, RunBetweenStartsAndStops) {
