@@ -50,54 +50,26 @@ class ShareCollector final : public InvariantChecker {
   sim::SimTime warmup_;
 };
 
-/// Uniform handle over the concrete generator types.
-struct Source {
-  std::unique_ptr<traffic::CbrFlow> cbr;
-  std::unique_ptr<traffic::PoissonFlow> poisson;
-  std::unique_ptr<traffic::OnOffFlow> onoff;
-  std::unique_ptr<traffic::TcpAimdFlow> tcp;
-  std::unique_ptr<traffic::ChurnWorkload> churn;
-
-  void start() {
-    if (cbr) cbr->start();
-    if (poisson) poisson->start();
-    if (onoff) onoff->start();
-    if (tcp) tcp->start();
-    if (churn) churn->start();
-  }
-  void stop() {
-    if (cbr) cbr->stop();
-    if (poisson) poisson->stop();
-    if (onoff) onoff->stop();
-    if (tcp) tcp->stop();
-    if (churn) churn->stop();
-  }
-};
-
-Source make_source(sim::Simulator& sim, traffic::FlowRouter& router,
-                   traffic::IdAllocator& ids, const FuzzFlow& f,
-                   unsigned vf_count, sim::Rng rng) {
+std::unique_ptr<traffic::TrafficSource> make_source(
+    sim::Simulator& sim, traffic::FlowRouter& router, traffic::IdAllocator& ids,
+    const FuzzFlow& f, unsigned vf_count, sim::Rng rng) {
   traffic::FlowSpec spec;
   spec.flow_id = ids.next_flow_id();
   spec.app_id = f.app_id;
   spec.vf_port = f.vf;
   spec.wire_bytes = f.frame_bytes;
 
-  Source src;
   switch (f.kind) {
     case FuzzFlow::Kind::kCbr:
-      src.cbr = std::make_unique<traffic::CbrFlow>(sim, router, ids, spec,
-                                                   f.rate, rng, 0.05);
-      break;
+      return std::make_unique<traffic::CbrFlow>(sim, router, ids, spec, f.rate,
+                                                rng, 0.05);
     case FuzzFlow::Kind::kPoisson:
-      src.poisson = std::make_unique<traffic::PoissonFlow>(sim, router, ids,
-                                                           spec, f.rate, rng);
-      break;
+      return std::make_unique<traffic::PoissonFlow>(sim, router, ids, spec,
+                                                    f.rate, rng);
     case FuzzFlow::Kind::kOnOff:
-      src.onoff = std::make_unique<traffic::OnOffFlow>(
+      return std::make_unique<traffic::OnOffFlow>(
           sim, router, ids, spec, f.rate * 2.0, sim::milliseconds(1),
           sim::milliseconds(1), rng);
-      break;
     case FuzzFlow::Kind::kTcp: {
       traffic::TcpAimdConfig cfg;
       cfg.start_rate = f.rate * 0.25;
@@ -105,9 +77,8 @@ Source make_source(sim::Simulator& sim, traffic::FlowRouter& router,
       cfg.max_rate = f.rate;
       cfg.rtt = sim::milliseconds(2);
       cfg.additive_increase = f.rate * 0.1;
-      src.tcp = std::make_unique<traffic::TcpAimdFlow>(sim, router, ids, spec,
-                                                       cfg, rng);
-      break;
+      return std::make_unique<traffic::TcpAimdFlow>(sim, router, ids, spec,
+                                                    cfg, rng);
     }
     case FuzzFlow::Kind::kChurn: {
       traffic::ChurnWorkloadConfig cfg;
@@ -116,12 +87,11 @@ Source make_source(sim::Simulator& sim, traffic::FlowRouter& router,
       cfg.wire_bytes = f.frame_bytes;
       cfg.app_id = f.app_id;
       cfg.vf_count = std::max(1u, vf_count);
-      src.churn = std::make_unique<traffic::ChurnWorkload>(sim, router, ids,
-                                                           cfg, rng);
-      break;
+      return std::make_unique<traffic::ChurnWorkload>(sim, router, ids, cfg,
+                                                      rng);
     }
   }
-  return src;
+  return nullptr;
 }
 
 /// Last instant at which a timed fault clears (0 if the schedule is empty
@@ -301,13 +271,13 @@ CheckReport run_scenario(const FuzzScenario& sc, const RunOptions& opts) {
   }
 
   const sim::Rng rng(sc.seed);
-  std::vector<Source> sources;
+  std::vector<std::unique_ptr<traffic::TrafficSource>> sources;
   sources.reserve(sc.flows.size());
   for (const FuzzFlow& f : sc.flows)
     sources.push_back(make_source(sim, router, ids, f, sc.nic.num_vfs,
                                   rng.split("src").split(f.app_id)));
   for (std::size_t i = 0; i < sc.flows.size(); ++i) {
-    Source* src = &sources[i];
+    traffic::TrafficSource* src = sources[i].get();
     sim.schedule_at(sc.flows[i].start, [src] { src->start(); });
     sim.schedule_at(sc.flows[i].stop, [src] { src->stop(); });
   }
@@ -321,7 +291,7 @@ CheckReport run_scenario(const FuzzScenario& sc, const RunOptions& opts) {
 
   harness.start();
   sim.run_until(sc.horizon);
-  for (Source& src : sources) src.stop();
+  for (const auto& src : sources) src->stop();
   harness.stop_sampling();
   sim.run_all();  // drain every in-flight packet to quiescence
   if (plane) plane->finalize();

@@ -1,6 +1,6 @@
 #include "host/probes.h"
 
-#include <algorithm>
+#include <vector>
 
 namespace flowvalve::host {
 
@@ -9,98 +9,62 @@ namespace flowvalve::host {
 LatencyProbe::LatencyProbe(sim::Simulator& sim, traffic::FlowRouter& router,
                            traffic::IdAllocator& ids, traffic::FlowSpec spec, Rate rate,
                            sim::Rng rng)
-    : sim_(sim), router_(router), ids_(ids), spec_(spec), rate_(rate), rng_(rng) {
-  router_.register_flow(spec_.flow_id, this);
-}
+    : PacedSender(sim, router, ids, {spec}, rng), rate_(rate) {}
 
-LatencyProbe::~LatencyProbe() {
-  stop();
-  router_.unregister_flow(spec_.flow_id);
-}
-
-void LatencyProbe::start() {
-  if (active_) return;
-  active_ = true;
-  send_next();
-}
-
-void LatencyProbe::stop() {
-  active_ = false;
-  send_event_.cancel();
-}
-
-void LatencyProbe::send_next() {
-  if (!active_) return;
-  net::Packet pkt = traffic::make_packet(spec_, ids_, sim_.now(), seq_++);
-  ++sent_;
-  router_.device().submit(std::move(pkt));
-  const double gap_ns =
-      static_cast<double>(spec_.wire_bytes) * 8e9 / std::max(rate_.bps(), 1e3);
-  // Slightly jittered so probes do not phase-lock with poll loops.
-  const double jitter = 1.0 + 0.2 * (rng_.next_double() - 0.5);
-  send_event_ = sim_.schedule_after(
-      std::max<SimDuration>(1, static_cast<SimDuration>(gap_ns * jitter)),
-      [this] { send_next(); });
+// Slightly jittered so probes do not phase-lock with poll loops.
+SimDuration LatencyProbe::next_gap() {
+  return jittered_gap(traffic::frame_time_ns(spec().wire_bytes, rate_), 0.2);
 }
 
 void LatencyProbe::on_delivered(const net::Packet& pkt) {
+  PacedSender::on_delivered(pkt);
   latency_.add(pkt.delivered_at - pkt.created_at);
 }
 
 // -------------------------------------------------------- SaturationLoad --
 
-SaturationLoad::SaturationLoad(sim::Simulator& sim, traffic::FlowRouter& router,
-                               traffic::IdAllocator& ids, Config config, sim::Rng rng)
-    : sim_(sim), router_(router), ids_(ids), config_(config), rng_(rng) {
-  specs_.reserve(config_.num_flows);
-  for (unsigned i = 0; i < config_.num_flows; ++i) {
+namespace {
+
+std::vector<traffic::FlowSpec> saturation_flows(traffic::IdAllocator& ids,
+                                                const SaturationLoad::Config& config) {
+  std::vector<traffic::FlowSpec> flows;
+  flows.reserve(config.num_flows);
+  for (unsigned i = 0; i < config.num_flows; ++i) {
     traffic::FlowSpec spec;
-    spec.flow_id = ids_.next_flow_id();
-    spec.app_id = config_.app_id + i % 4;  // spread over apps/classes
-    spec.vf_port = static_cast<std::uint16_t>(config_.vf_base + i % config_.num_vfs);
-    spec.wire_bytes = config_.wire_bytes;
+    spec.flow_id = ids.next_flow_id();
+    spec.app_id = config.app_id + i % 4;  // spread over apps/classes
+    spec.vf_port = static_cast<std::uint16_t>(config.vf_base + i % config.num_vfs);
+    spec.wire_bytes = config.wire_bytes;
     spec.tuple.src_ip = 0x0a000100 + i;
     spec.tuple.dst_ip = 0x0a000002;
     spec.tuple.src_port = static_cast<std::uint16_t>(30000 + i);
     spec.tuple.dst_port = 5201;
     spec.tuple.proto = net::IpProto::kUdp;
-    router_.register_flow(spec.flow_id, this);
-    specs_.push_back(spec);
+    flows.push_back(spec);
   }
+  return flows;
 }
 
-SaturationLoad::~SaturationLoad() {
-  stop();
-  for (const auto& spec : specs_) router_.unregister_flow(spec.flow_id);
+}  // namespace
+
+SaturationLoad::SaturationLoad(sim::Simulator& sim, traffic::FlowRouter& router,
+                               traffic::IdAllocator& ids, Config config, sim::Rng rng)
+    : PacedSender(sim, router, ids, saturation_flows(ids, config), rng), config_(config) {}
+
+void SaturationLoad::fire() {
+  const traffic::FlowSpec& spec = flows()[rr_];
+  rr_ = (rr_ + 1) % flows().size();
+  submit(spec);
 }
 
-void SaturationLoad::start() {
-  if (active_) return;
-  active_ = true;
-  send_next();
-}
-
-void SaturationLoad::stop() {
-  active_ = false;
-  send_event_.cancel();
-}
-
-void SaturationLoad::send_next() {
-  if (!active_) return;
-  const traffic::FlowSpec& spec = specs_[rr_];
-  rr_ = (rr_ + 1) % specs_.size();
-  net::Packet pkt = traffic::make_packet(spec, ids_, sim_.now(), seq_++);
-  ++sent_;
-  router_.device().submit(std::move(pkt));
-  // Aggregate pacing across all flows.
-  const double gap_ns =
-      static_cast<double>(config_.wire_bytes + net::kEthernetOverheadBytes) * 8e9 /
-      std::max(config_.offered.bps(), 1e3);
-  send_event_ = sim_.schedule_after(
-      std::max<SimDuration>(1, static_cast<SimDuration>(gap_ns)), [this] { send_next(); });
+// Aggregate pacing across all flows.
+SimDuration SaturationLoad::next_gap() {
+  return traffic::whole_gap(traffic::frame_time_ns(
+      config_.wire_bytes + net::kEthernetOverheadBytes, config_.offered));
 }
 
 void SaturationLoad::on_delivered(const net::Packet& pkt) {
+  PacedSender::on_delivered(pkt);
   if (pkt.wire_tx_done >= measure_from_ && measure_from_ > 0) ++counted_;
 }
 

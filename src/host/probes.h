@@ -4,12 +4,8 @@
 //    throughput sweeps (Fig. 13), measuring delivered Mpps over a window.
 #pragma once
 
-#include <memory>
-#include <vector>
-
-#include "sim/rng.h"
 #include "stats/stats.h"
-#include "traffic/source.h"
+#include "traffic/paced_sender.h"
 
 namespace flowvalve::host {
 
@@ -19,44 +15,27 @@ using sim::SimTime;
 
 /// Sends small probe packets at a modest rate and records the one-way delay
 /// (created → delivered) of every probe that survives.
-class LatencyProbe final : public traffic::TrafficSource {
+class LatencyProbe final : public traffic::PacedSender {
  public:
   LatencyProbe(sim::Simulator& sim, traffic::FlowRouter& router, traffic::IdAllocator& ids,
                traffic::FlowSpec spec, Rate rate, sim::Rng rng);
-  ~LatencyProbe() override;
-
-  void start();
-  void stop();
 
   const stats::LatencyStats& latency() const { return latency_; }
-  std::uint64_t sent() const { return sent_; }
-  std::uint64_t lost() const { return lost_; }
 
   void on_delivered(const net::Packet& pkt) override;
-  void on_dropped(const net::Packet&) override { ++lost_; }
 
  private:
-  void send_next();
+  SimDuration next_gap() override;
 
-  sim::Simulator& sim_;
-  traffic::FlowRouter& router_;
-  traffic::IdAllocator& ids_;
-  traffic::FlowSpec spec_;
   Rate rate_;
-  sim::Rng rng_;
-  bool active_ = false;
-  std::uint64_t seq_ = 0;
-  std::uint64_t sent_ = 0;
-  std::uint64_t lost_ = 0;
   stats::LatencyStats latency_;
-  sim::EventHandle send_event_;
 };
 
 /// Open-loop saturation load: `num_flows` flows of fixed-size frames with an
 /// aggregate offered rate, spread over VF ports. Counts deliveries after a
 /// warmup mark to compute achieved Mpps, mirroring how the paper stresses
 /// each scheduler with fixed-length packets at full speed.
-class SaturationLoad final : public traffic::TrafficSource {
+class SaturationLoad final : public traffic::PacedSender {
  public:
   struct Config {
     unsigned num_flows = 16;
@@ -69,35 +48,22 @@ class SaturationLoad final : public traffic::TrafficSource {
 
   SaturationLoad(sim::Simulator& sim, traffic::FlowRouter& router,
                  traffic::IdAllocator& ids, Config config, sim::Rng rng);
-  ~SaturationLoad() override;
-
-  void start();
-  void stop();
 
   void begin_measurement() { measure_from_ = sim_.now(); counted_ = 0; }
   double delivered_mpps(SimTime until) const;
-  std::uint64_t sent() const { return sent_; }
   std::uint64_t counted() const { return counted_; }
 
   void on_delivered(const net::Packet& pkt) override;
-  void on_dropped(const net::Packet&) override {}
 
  private:
-  void send_next();
+  /// One frame per firing, the flows taking turns.
+  void fire() override;
+  SimDuration next_gap() override;
 
-  sim::Simulator& sim_;
-  traffic::FlowRouter& router_;
-  traffic::IdAllocator& ids_;
   Config config_;
-  sim::Rng rng_;
-  std::vector<traffic::FlowSpec> specs_;
-  bool active_ = false;
   std::size_t rr_ = 0;
-  std::uint64_t seq_ = 0;
-  std::uint64_t sent_ = 0;
   SimTime measure_from_ = 0;
   std::uint64_t counted_ = 0;
-  sim::EventHandle send_event_;
 };
 
 }  // namespace flowvalve::host

@@ -57,8 +57,8 @@ class ChurnWorkload final : public TrafficSource {
                 ChurnWorkloadConfig config, sim::Rng rng);
   ~ChurnWorkload() override;
 
-  void start();
-  void stop();
+  void start() override;
+  void stop() override;
 
   /// The deterministic serial→flow mapping spawn_flow() uses: the i-th flow
   /// ever spawned gets this five-tuple and VF. Exposed so a bench can

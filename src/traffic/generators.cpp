@@ -1,90 +1,33 @@
 #include "traffic/generators.h"
 
-#include <algorithm>
-
 namespace flowvalve::traffic {
 
 // -------------------------------------------------------------- CbrFlow --
 
 CbrFlow::CbrFlow(sim::Simulator& sim, FlowRouter& router, IdAllocator& ids, FlowSpec spec,
                  Rate rate, sim::Rng rng, double jitter_frac, unsigned clump)
-    : sim_(sim),
-      router_(router),
-      ids_(ids),
-      spec_(spec),
+    : PacedSender(sim, router, ids, {spec}, rng),
       rate_(rate),
-      rng_(rng),
       jitter_frac_(jitter_frac),
-      clump_(clump < 1 ? 1 : clump) {
-  router_.register_flow(spec_.flow_id, this);
+      clump_(clump < 1 ? 1 : clump) {}
+
+void CbrFlow::fire() {
+  for (unsigned i = 0; i < clump_; ++i) submit(spec());
 }
 
-CbrFlow::~CbrFlow() {
-  stop();
-  router_.unregister_flow(spec_.flow_id);
-}
-
-void CbrFlow::start() {
-  if (active_) return;
-  active_ = true;
-  send_next();
-}
-
-void CbrFlow::stop() {
-  active_ = false;
-  send_event_.cancel();
-}
-
-void CbrFlow::send_next() {
-  if (!active_) return;
-  for (unsigned i = 0; i < clump_; ++i) {
-    net::Packet pkt = make_packet(spec_, ids_, sim_.now(), seq_++);
-    ++sent_;
-    router_.device().submit(std::move(pkt));
-  }
-  const double gap_ns = static_cast<double>(clump_) *
-                        static_cast<double>(spec_.wire_bytes) * 8e9 /
-                        std::max(rate_.bps(), 1e3);
-  const double jitter = 1.0 + jitter_frac_ * (rng_.next_double() - 0.5);
-  send_event_ = sim_.schedule_after(
-      std::max<SimDuration>(1, static_cast<SimDuration>(gap_ns * jitter)),
-      [this] { send_next(); });
+SimDuration CbrFlow::next_gap() {
+  return jittered_gap(frame_time_ns(std::uint64_t{clump_} * spec().wire_bytes, rate_),
+                      jitter_frac_);
 }
 
 // ----------------------------------------------------------- PoissonFlow --
 
 PoissonFlow::PoissonFlow(sim::Simulator& sim, FlowRouter& router, IdAllocator& ids,
                          FlowSpec spec, Rate mean_rate, sim::Rng rng)
-    : sim_(sim), router_(router), ids_(ids), spec_(spec), mean_rate_(mean_rate), rng_(rng) {
-  router_.register_flow(spec_.flow_id, this);
-}
+    : PacedSender(sim, router, ids, {spec}, rng), mean_rate_(mean_rate) {}
 
-PoissonFlow::~PoissonFlow() {
-  stop();
-  router_.unregister_flow(spec_.flow_id);
-}
-
-void PoissonFlow::start() {
-  if (active_) return;
-  active_ = true;
-  send_next();
-}
-
-void PoissonFlow::stop() {
-  active_ = false;
-  send_event_.cancel();
-}
-
-void PoissonFlow::send_next() {
-  if (!active_) return;
-  net::Packet pkt = make_packet(spec_, ids_, sim_.now(), seq_++);
-  ++sent_;
-  router_.device().submit(std::move(pkt));
-  const double mean_gap_ns =
-      static_cast<double>(spec_.wire_bytes) * 8e9 / std::max(mean_rate_.bps(), 1e3);
-  send_event_ = sim_.schedule_after(
-      std::max<SimDuration>(1, static_cast<SimDuration>(rng_.exponential(mean_gap_ns))),
-      [this] { send_next(); });
+SimDuration PoissonFlow::next_gap() {
+  return whole_gap(rng_.exponential(frame_time_ns(spec().wire_bytes, mean_rate_)));
 }
 
 // ------------------------------------------------------------- OnOffFlow --
@@ -92,58 +35,32 @@ void PoissonFlow::send_next() {
 OnOffFlow::OnOffFlow(sim::Simulator& sim, FlowRouter& router, IdAllocator& ids,
                      FlowSpec spec, Rate burst_rate, SimDuration mean_on,
                      SimDuration mean_off, sim::Rng rng)
-    : sim_(sim),
-      router_(router),
-      ids_(ids),
-      spec_(spec),
+    : PacedSender(sim, router, ids, {spec}, rng),
       burst_rate_(burst_rate),
       mean_on_(mean_on),
-      mean_off_(mean_off),
-      rng_(rng) {
-  router_.register_flow(spec_.flow_id, this);
+      mean_off_(mean_off) {}
+
+SimDuration OnOffFlow::next_gap() {
+  return whole_gap(frame_time_ns(spec().wire_bytes, burst_rate_));
 }
 
-OnOffFlow::~OnOffFlow() {
-  stop();
-  router_.unregister_flow(spec_.flow_id);
-}
-
-void OnOffFlow::start() {
-  if (active_) return;
-  active_ = true;
+void OnOffFlow::on_start() {
   on_ = true;
-  send_next();
+  send_now();
   toggle();
 }
 
-void OnOffFlow::stop() {
-  active_ = false;
-  send_event_.cancel();
-  toggle_event_.cancel();
-}
-
 void OnOffFlow::toggle() {
-  if (!active_) return;
-  const SimDuration hold = static_cast<SimDuration>(
-      rng_.exponential(static_cast<double>(on_ ? mean_on_ : mean_off_)));
-  toggle_event_ = sim_.schedule_after(std::max<SimDuration>(1, hold), [this] {
+  const double mean = static_cast<double>(on_ ? mean_on_ : mean_off_);
+  toggle_event_ = sim_.schedule_after(whole_gap(rng_.exponential(mean)), [this] {
     on_ = !on_;
-    // One send chain: OFF drops the pending send, ON starts a new chain.
-    send_event_.cancel();
-    if (on_) send_next();
+    if (on_) {
+      send_now();
+    } else {
+      pause();
+    }
     toggle();
   });
-}
-
-void OnOffFlow::send_next() {
-  if (!active_) return;
-  net::Packet pkt = make_packet(spec_, ids_, sim_.now(), seq_++);
-  ++sent_;
-  router_.device().submit(std::move(pkt));
-  const double gap_ns =
-      static_cast<double>(spec_.wire_bytes) * 8e9 / std::max(burst_rate_.bps(), 1e3);
-  send_event_ = sim_.schedule_after(std::max<SimDuration>(1, static_cast<SimDuration>(gap_ns)),
-                                    [this] { send_next(); });
 }
 
 }  // namespace flowvalve::traffic

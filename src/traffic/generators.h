@@ -1,11 +1,9 @@
-// Open-loop traffic generators: constant bit rate, Poisson, on/off bursts,
-// and the full-speed blaster used for the Fig. 13 saturation sweeps.
+// Open-loop traffic generators: constant bit rate, Poisson and on/off
+// bursts. The send loop itself is PacedSender's (traffic/paced_sender.h);
+// each generator adds its gap law.
 #pragma once
 
-#include <memory>
-
-#include "sim/rng.h"
-#include "traffic/source.h"
+#include "traffic/paced_sender.h"
 
 namespace flowvalve::traffic {
 
@@ -14,105 +12,55 @@ namespace flowvalve::traffic {
 /// back-to-back packets per timer firing with the inter-firing gap scaled
 /// to keep the average rate — the arrival shape of a segmentation-offload
 /// (TSO/GSO) host, where the NIC sees sender bursts, not paced singles.
-class CbrFlow final : public TrafficSource {
+class CbrFlow final : public PacedSender {
  public:
   CbrFlow(sim::Simulator& sim, FlowRouter& router, IdAllocator& ids, FlowSpec spec,
           Rate rate, sim::Rng rng, double jitter_frac = 0.0, unsigned clump = 1);
-  ~CbrFlow() override;
 
-  void start();
-  void stop();
   void set_rate(Rate rate) { rate_ = rate; }
   Rate rate() const { return rate_; }
-  std::uint64_t packets_sent() const { return sent_; }
-  std::uint64_t packets_delivered() const { return delivered_; }
-
-  void on_delivered(const net::Packet&) override { ++delivered_; }
-  void on_dropped(const net::Packet&) override { ++lost_; }
-  std::uint64_t packets_lost() const { return lost_; }
 
  private:
-  void send_next();
+  void fire() override;
+  SimDuration next_gap() override;
 
-  sim::Simulator& sim_;
-  FlowRouter& router_;
-  IdAllocator& ids_;
-  FlowSpec spec_;
   Rate rate_;
-  sim::Rng rng_;
   double jitter_frac_;
   unsigned clump_;
-  bool active_ = false;
-  std::uint64_t seq_ = 0;
-  std::uint64_t sent_ = 0;
-  std::uint64_t delivered_ = 0;
-  std::uint64_t lost_ = 0;
-  sim::EventHandle send_event_;
 };
 
 /// Poisson arrivals at a mean rate.
-class PoissonFlow final : public TrafficSource {
+class PoissonFlow final : public PacedSender {
  public:
   PoissonFlow(sim::Simulator& sim, FlowRouter& router, IdAllocator& ids, FlowSpec spec,
               Rate mean_rate, sim::Rng rng);
-  ~PoissonFlow() override;
-
-  void start();
-  void stop();
-  std::uint64_t packets_sent() const { return sent_; }
-  std::uint64_t packets_delivered() const { return delivered_; }
-
-  void on_delivered(const net::Packet&) override { ++delivered_; }
-  void on_dropped(const net::Packet&) override {}
 
  private:
-  void send_next();
+  SimDuration next_gap() override;
 
-  sim::Simulator& sim_;
-  FlowRouter& router_;
-  IdAllocator& ids_;
-  FlowSpec spec_;
   Rate mean_rate_;
-  sim::Rng rng_;
-  bool active_ = false;
-  std::uint64_t seq_ = 0;
-  std::uint64_t sent_ = 0;
-  std::uint64_t delivered_ = 0;
-  sim::EventHandle send_event_;
 };
 
 /// Alternates exponentially-distributed ON bursts (at `burst_rate`) with OFF
 /// gaps. Models bursty application traffic for failure-injection tests.
-class OnOffFlow final : public TrafficSource {
+/// OFF cancels the pending send and ON fires at once, so the flow never
+/// runs two send chains.
+class OnOffFlow final : public PacedSender {
  public:
   OnOffFlow(sim::Simulator& sim, FlowRouter& router, IdAllocator& ids, FlowSpec spec,
             Rate burst_rate, SimDuration mean_on, SimDuration mean_off, sim::Rng rng);
-  ~OnOffFlow() override;
-
-  void start();
-  void stop();
-  std::uint64_t packets_sent() const { return sent_; }
-
-  void on_delivered(const net::Packet&) override {}
-  void on_dropped(const net::Packet&) override {}
+  ~OnOffFlow() override { toggle_event_.cancel(); }
 
  private:
-  void send_next();
+  SimDuration next_gap() override;
+  void on_start() override;
+  void on_stop() override { toggle_event_.cancel(); }
   void toggle();
 
-  sim::Simulator& sim_;
-  FlowRouter& router_;
-  IdAllocator& ids_;
-  FlowSpec spec_;
   Rate burst_rate_;
   SimDuration mean_on_;
   SimDuration mean_off_;
-  sim::Rng rng_;
-  bool active_ = false;
   bool on_ = false;
-  std::uint64_t seq_ = 0;
-  std::uint64_t sent_ = 0;
-  sim::EventHandle send_event_;
   sim::EventHandle toggle_event_;
 };
 

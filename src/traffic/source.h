@@ -31,6 +31,8 @@ class IdAllocator {
 class TrafficSource {
  public:
   virtual ~TrafficSource() = default;
+  virtual void start() = 0;
+  virtual void stop() = 0;
   virtual void on_delivered(const net::Packet& pkt) = 0;
   virtual void on_dropped(const net::Packet& pkt) = 0;
 };

@@ -8,55 +8,25 @@ namespace flowvalve::traffic {
 
 TcpAimdFlow::TcpAimdFlow(sim::Simulator& sim, FlowRouter& router, IdAllocator& ids,
                          FlowSpec spec, TcpAimdConfig config, sim::Rng rng)
-    : sim_(sim),
-      router_(router),
-      ids_(ids),
-      spec_(spec),
+    : PacedSender(sim, router, ids, {spec}, rng),
       config_(config),
-      rng_(rng),
-      rate_(config.start_rate) {
-  router_.register_flow(spec_.flow_id, this);
-}
+      rate_(config.start_rate) {}
 
-TcpAimdFlow::~TcpAimdFlow() {
-  stop();
-  router_.unregister_flow(spec_.flow_id);
-}
-
-void TcpAimdFlow::start() {
-  if (active_) return;
-  active_ = true;
+void TcpAimdFlow::on_start() {
   rate_ = config_.start_rate;
   losses_this_rtt_ = 0;
   rtt_timer_ = std::make_unique<sim::PeriodicTimer>(sim_, config_.rtt, [this] { rtt_tick(); });
   rtt_timer_->start();
-  send_next();
+  send_now();
 }
 
-void TcpAimdFlow::stop() {
-  active_ = false;
-  send_event_.cancel();
-  rtt_timer_.reset();
-}
-
-void TcpAimdFlow::send_next() {
-  if (!active_) return;
-  net::Packet pkt = make_packet(spec_, ids_, sim_.now(), seq_++);
-  ++sent_;
-  router_.device().submit(std::move(pkt));
-
-  // Paced inter-packet gap at the current rate, with a little jitter so
-  // competing flows do not phase-lock.
-  const double gap_ns =
-      static_cast<double>(spec_.wire_bytes) * 8e9 / std::max(rate_.bps(), 1e3);
-  const double jitter = 1.0 + config_.pacing_jitter * (rng_.next_double() - 0.5);
-  send_event_ = sim_.schedule_after(
-      std::max<SimDuration>(1, static_cast<SimDuration>(gap_ns * jitter)),
-      [this] { send_next(); });
+// Paced inter-packet gap at the current rate, with a little jitter so
+// competing flows do not phase-lock.
+SimDuration TcpAimdFlow::next_gap() {
+  return jittered_gap(frame_time_ns(spec().wire_bytes, rate_), config_.pacing_jitter);
 }
 
 void TcpAimdFlow::rtt_tick() {
-  if (!active_) return;
   if (losses_this_rtt_ > 0) {
     rate_ = std::max(config_.min_rate, rate_ * config_.md_factor);
   } else {

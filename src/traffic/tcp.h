@@ -13,8 +13,7 @@
 
 #include <memory>
 
-#include "sim/rng.h"
-#include "traffic/source.h"
+#include "traffic/paced_sender.h"
 
 namespace flowvalve::traffic {
 
@@ -31,46 +30,27 @@ struct TcpAimdConfig {
   double pacing_jitter = 0.05;
 };
 
-class TcpAimdFlow final : public TrafficSource {
+class TcpAimdFlow final : public PacedSender {
  public:
   TcpAimdFlow(sim::Simulator& sim, FlowRouter& router, IdAllocator& ids, FlowSpec spec,
               TcpAimdConfig config, sim::Rng rng);
-  ~TcpAimdFlow() override;
-
-  void start();
-  void stop();
-  bool active() const { return active_; }
 
   Rate current_rate() const { return rate_; }
-  std::uint64_t packets_sent() const { return sent_; }
-  std::uint64_t packets_delivered() const { return delivered_; }
-  std::uint64_t packets_lost() const { return lost_; }
 
-  void on_delivered(const net::Packet&) override { ++delivered_; }
-  void on_dropped(const net::Packet&) override {
-    ++lost_;
+  void on_dropped(const net::Packet& pkt) override {
+    PacedSender::on_dropped(pkt);
     ++losses_this_rtt_;
   }
 
  private:
-  void send_next();
+  SimDuration next_gap() override;
+  void on_start() override;
+  void on_stop() override { rtt_timer_.reset(); }
   void rtt_tick();
 
-  sim::Simulator& sim_;
-  FlowRouter& router_;
-  IdAllocator& ids_;
-  FlowSpec spec_;
   TcpAimdConfig config_;
-  sim::Rng rng_;
-
-  bool active_ = false;
   Rate rate_;
-  std::uint64_t seq_ = 0;
-  std::uint64_t sent_ = 0;
-  std::uint64_t delivered_ = 0;
-  std::uint64_t lost_ = 0;
   std::uint64_t losses_this_rtt_ = 0;
-  sim::EventHandle send_event_;
   std::unique_ptr<sim::PeriodicTimer> rtt_timer_;
 };
 
@@ -88,8 +68,8 @@ class TcpRenoFlow final : public TrafficSource {
               TcpRenoConfig config);
   ~TcpRenoFlow() override;
 
-  void start();
-  void stop();
+  void start() override;
+  void stop() override;
 
   double cwnd() const { return cwnd_; }
   std::uint64_t packets_delivered() const { return delivered_; }

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "traffic/paced_sender.h"
+
 namespace flowvalve::traffic {
 
 FlowSizeDistribution::FlowSizeDistribution(double alpha, std::uint64_t min_bytes,
@@ -57,14 +59,11 @@ void DatacenterWorkload::stop() {
 
 void DatacenterWorkload::arm_arrival() {
   const double mean_gap_ns = 1e9 / config_.flows_per_sec;
-  arrival_event_ = sim_.schedule_after(
-      std::max<sim::SimDuration>(1,
-                                 static_cast<sim::SimDuration>(rng_.exponential(mean_gap_ns))),
-      [this] {
-        if (!active_flag_) return;
-        spawn_flow();
-        arm_arrival();
-      });
+  arrival_event_ = sim_.schedule_after(whole_gap(rng_.exponential(mean_gap_ns)), [this] {
+    if (!active_flag_) return;
+    spawn_flow();
+    arm_arrival();
+  });
 }
 
 void DatacenterWorkload::spawn_flow() {
@@ -100,11 +99,9 @@ void DatacenterWorkload::send_from(std::list<LiveFlow>::iterator it) {
     return;
   }
   f.remaining_bytes -= payload;
-  const double gap_ns = static_cast<double>(f.spec.wire_bytes) * 8e9 /
-                        std::max(config_.flow_rate.bps(), 1e3);
-  f.next_send = sim_.schedule_after(
-      std::max<sim::SimDuration>(1, static_cast<sim::SimDuration>(gap_ns)),
-      [this, it] { send_from(it); });
+  f.next_send =
+      sim_.schedule_after(whole_gap(frame_time_ns(f.spec.wire_bytes, config_.flow_rate)),
+                          [this, it] { send_from(it); });
 }
 
 }  // namespace flowvalve::traffic

@@ -53,8 +53,8 @@ class DatacenterWorkload final : public TrafficSource {
                      DatacenterWorkloadConfig config, sim::Rng rng);
   ~DatacenterWorkload() override;
 
-  void start();
-  void stop();
+  void start() override;
+  void stop() override;
 
   std::uint64_t flows_started() const { return flows_started_; }
   std::uint64_t flows_completed() const { return flows_completed_; }

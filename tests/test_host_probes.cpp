@@ -55,7 +55,7 @@ TEST(LatencyProbeTest, MeasuresFixedDelayExactly) {
   EXPECT_GT(probe.latency().count(), 100u);
   EXPECT_NEAR(probe.latency().mean_us(), 123.0, 0.1);
   EXPECT_NEAR(probe.latency().stddev_us(), 0.0, 0.1);
-  EXPECT_EQ(probe.lost(), 0u);
+  EXPECT_EQ(probe.packets_lost(), 0u);
 }
 
 TEST(LatencyProbeTest, CountsLosses) {
@@ -67,10 +67,10 @@ TEST(LatencyProbeTest, CountsLosses) {
                      sim::Rng(1));
   probe.start();
   sim.run_until(sim::milliseconds(50));
-  EXPECT_GT(probe.lost(), 0u);
-  EXPECT_NEAR(static_cast<double>(probe.lost()),
-              static_cast<double>(probe.sent()) / 4.0,
-              static_cast<double>(probe.sent()) * 0.05);
+  EXPECT_GT(probe.packets_lost(), 0u);
+  EXPECT_NEAR(static_cast<double>(probe.packets_lost()),
+              static_cast<double>(probe.packets_sent()) / 4.0,
+              static_cast<double>(probe.packets_sent()) * 0.05);
 }
 
 TEST(LatencyProbeTest, StopHalts) {
@@ -83,9 +83,9 @@ TEST(LatencyProbeTest, StopHalts) {
   probe.start();
   sim.run_until(sim::milliseconds(10));
   probe.stop();
-  const auto sent = probe.sent();
+  const auto sent = probe.packets_sent();
   sim.run_until(sim::milliseconds(30));
-  EXPECT_EQ(probe.sent(), sent);
+  EXPECT_EQ(probe.packets_sent(), sent);
 }
 
 TEST(SaturationLoadTest, OffersAtConfiguredAggregateRate) {
@@ -101,7 +101,7 @@ TEST(SaturationLoadTest, OffersAtConfiguredAggregateRate) {
   load.start();
   sim.run_until(sim::milliseconds(10));
   // 10G at 84 wire bytes → 14.88 Mpps → 148.8k packets in 10 ms.
-  EXPECT_NEAR(static_cast<double>(load.sent()), 148800.0, 1500.0);
+  EXPECT_NEAR(static_cast<double>(load.packets_sent()), 148800.0, 1500.0);
 }
 
 TEST(SaturationLoadTest, MeasuresDeliveredMppsAfterWarmup) {
