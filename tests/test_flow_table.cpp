@@ -14,6 +14,7 @@
 #include "check/fuzzer.h"
 #include "check/runner.h"
 #include "core/classifier.h"
+#include "fault/fault.h"
 #include "net/packet.h"
 
 namespace flowvalve::core {
@@ -428,6 +429,8 @@ namespace {
 /// churn workload, both storm kinds over the middle half, every scheduler
 /// backend, batch 1 and 32 — all invariant checkers armed, including the
 /// cache-coherence checker (every EMC hit replayed against the rule walk).
+/// run_scenario arms only opts.faults, so the storms go in there, with
+/// admission control on as resolve_seed turns it on for any fault run.
 TEST(ChurnSoak, MillionLiveFlowsSurviveStormsOnEveryBackendAndBatch) {
   FuzzScenario sc = generate_scenario(0x50AC);
   sc.nic.emc_capacity = std::size_t{1} << 21;
@@ -447,9 +450,14 @@ TEST(ChurnSoak, MillionLiveFlowsSurviveStormsOnEveryBackendAndBatch) {
       FuzzScenario run = sc;
       run.nic.backend = backend;
       run.nic.batch_size = batch;
+      run.nic.recovery.admission_enabled = true;
       RunOptions opts;
-      opts.storm_collision = true;
-      opts.storm_churn = true;
+      for (fault::FaultKind kind : {fault::FaultKind::kHashCollisionStorm,
+                                    fault::FaultKind::kChurnStorm}) {
+        const fault::FaultSchedule storm =
+            fault::single_fault(kind, run.horizon / 4, run.horizon / 2, run.nic);
+        opts.faults.insert(opts.faults.end(), storm.begin(), storm.end());
+      }
       const CheckReport report = run_scenario(run, opts);
       EXPECT_TRUE(report.ok())
           << core::backend_kind_name(backend) << " batch " << batch << ": "
@@ -458,6 +466,10 @@ TEST(ChurnSoak, MillionLiveFlowsSurviveStormsOnEveryBackendAndBatch) {
                   ? std::string("(none stored)")
                   : report.violations.front().to_string());
       EXPECT_GT(report.delivered, 0u)
+          << core::backend_kind_name(backend) << " batch " << batch;
+      EXPECT_EQ(report.faults_injected, 2u)
+          << core::backend_kind_name(backend) << " batch " << batch;
+      EXPECT_EQ(report.faults_recovered, 2u)
           << core::backend_kind_name(backend) << " batch " << batch;
     }
   }
