@@ -89,34 +89,14 @@ NicPipeline::NicPipeline(sim::Simulator& sim, NpConfig config, PacketProcessor& 
   burst_scratch_.reserve(config_.batch_size);
   slot_scratch_.reserve(config_.batch_size);
 
-  // Resolve the recovery policy: 0 = derive from the cycle model, < 0 =
-  // disabled. The auto watchdog budget is far above any legitimate
-  // run-to-completion interval (tens of µs at the default cycle costs), so
-  // a fault-free pipeline never trips it.
-  const auto& rec = config_.recovery;
-  if (rec.watchdog_budget < 0) {
-    watchdog_budget_ = -1;
-  } else if (rec.watchdog_budget > 0) {
-    watchdog_budget_ = rec.watchdog_budget;
-  } else {
-    watchdog_budget_ = std::max<sim::SimDuration>(
-        sim::microseconds(250),
-        64 * config_.cycles_to_ns(kBaseRxCycles + kBaseTxCycles));
-  }
-  if (rec.reorder_timeout < 0) {
-    reorder_timeout_ = -1;
-  } else if (rec.reorder_timeout > 0) {
-    reorder_timeout_ = rec.reorder_timeout;
-  } else {
-    reorder_timeout_ =
-        watchdog_budget_ > 0 ? 2 * watchdog_budget_ : sim::microseconds(500);
-  }
-  const sim::SimDuration base =
-      watchdog_budget_ > 0
-          ? watchdog_budget_
-          : (reorder_timeout_ > 0 ? reorder_timeout_ : sim::microseconds(400));
-  watchdog_scan_period_ = std::max<sim::SimDuration>(sim::microseconds(1),
-                                                base / kWatchdogScansPerBudget);
+  // The recovery budgets (np_config.h, NpConfig::Recovery). The watchdog
+  // budget is far above any legitimate run-to-completion interval (tens of
+  // µs at the default cycle costs), so a fault-free pipeline never trips it.
+  watchdog_budget_ = std::max<sim::SimDuration>(
+      sim::microseconds(250), 64 * config_.cycles_to_ns(kBaseRxCycles + kBaseTxCycles));
+  reorder_timeout_ = 2 * watchdog_budget_;
+  watchdog_scan_period_ = std::max<sim::SimDuration>(
+      sim::microseconds(1), watchdog_budget_ / kWatchdogScansPerBudget);
 }
 
 void NicPipeline::drop(const net::Packet& pkt, DropReason reason) {
@@ -498,7 +478,7 @@ void NicPipeline::update_hole_tracking() {
 }
 
 void NicPipeline::reorder_timeout_flush() {
-  if (reorder_timeout_ <= 0 || reorder_frozen_ || !hole_active_) return;
+  if (reorder_frozen_ || !hole_active_) return;
   if (sim_.now() - hole_since_ < reorder_timeout_) return;
   if (reorder_count_ == 0) return;  // hole closed since the last commit
   ++stats_.reorder_timeout_flushes;
@@ -648,36 +628,30 @@ bool NicPipeline::watchdog_work_pending() const {
 }
 
 void NicPipeline::arm_watchdog_slow() {
-  if (watchdog_armed_ || watchdog_scan_period_ <= 0) return;
-  if (watchdog_budget_ <= 0 && reorder_timeout_ <= 0 &&
-      !config_.recovery.admission_enabled)
-    return;
-  if (!watchdog_work_pending()) return;
+  if (watchdog_armed_ || !watchdog_work_pending()) return;
   watchdog_armed_ = true;
   sim_.schedule_after(watchdog_scan_period_, [this] { watchdog_tick(); });
 }
 
 void NicPipeline::watchdog_tick() {
   watchdog_armed_ = false;
-  if (watchdog_budget_ > 0) {
-    bool aborted = false;
-    for (unsigned w = 0; w < workers_.size(); ++w) {
-      WorkerCtx& ctx = workers_[w];
-      if (ctx.state != WorkerCtx::State::kBusy) continue;
-      // The budget bounds ONE packet's service; a burst's legitimate
-      // run-to-completion window is proportionally longer, so the stuck
-      // check scales with the number of packets the worker is holding —
-      // a healthy full burst never trips at any batch size.
-      const sim::SimDuration allowance =
-          watchdog_budget_ *
-          static_cast<sim::SimDuration>(std::max<std::size_t>(1, ctx.burst.size()));
-      if (sim_.now() - ctx.busy_start >= allowance) {
-        watchdog_abort(w);
-        aborted = true;
-      }
+  bool aborted = false;
+  for (unsigned w = 0; w < workers_.size(); ++w) {
+    WorkerCtx& ctx = workers_[w];
+    if (ctx.state != WorkerCtx::State::kBusy) continue;
+    // The budget bounds ONE packet's service; a burst's legitimate
+    // run-to-completion window is proportionally longer, so the stuck
+    // check scales with the number of packets the worker is holding — a
+    // healthy full burst never trips at any batch size.
+    const sim::SimDuration allowance =
+        watchdog_budget_ *
+        static_cast<sim::SimDuration>(std::max<std::size_t>(1, ctx.burst.size()));
+    if (sim_.now() - ctx.busy_start >= allowance) {
+      watchdog_abort(w);
+      aborted = true;
     }
-    if (aborted) try_dispatch();
   }
+  if (aborted) try_dispatch();
   reorder_timeout_flush();
   admission_update();
   // One-shot chain: re-arm only while there is still work the watchdog

@@ -226,7 +226,7 @@ class NicPipeline final : public net::EgressDevice {
   /// Packets salvaged by the watchdog, waiting for re-dispatch.
   std::size_t retry_backlog() const { return retry_queue_.size(); }
 
-  /// Resolved recovery parameters (after 0 = auto derivation).
+  /// Recovery budgets derived from the cycle model (NpConfig::Recovery).
   sim::SimDuration watchdog_budget() const { return watchdog_budget_; }
   sim::SimDuration watchdog_scan_period() const { return watchdog_scan_period_; }
   sim::SimDuration reorder_timeout() const { return reorder_timeout_; }
@@ -462,10 +462,10 @@ class NicPipeline final : public net::EgressDevice {
   std::uint64_t hole_seq_ = 0;        // the missing seq the window waits on
   sim::SimTime hole_since_ = 0;       // when that hole opened
 
-  // Resolved recovery parameters (< 0 ⇒ disabled).
-  sim::SimDuration watchdog_budget_ = -1;
-  sim::SimDuration watchdog_scan_period_ = -1;
-  sim::SimDuration reorder_timeout_ = -1;
+  // Recovery budgets, derived in the constructor.
+  sim::SimDuration watchdog_budget_ = 0;
+  sim::SimDuration watchdog_scan_period_ = 0;
+  sim::SimDuration reorder_timeout_ = 0;
   bool watchdog_armed_ = false;
 
   // Graceful-degradation admission state.

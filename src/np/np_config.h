@@ -116,28 +116,24 @@ struct NpConfig {
 
   /// Self-healing policy for the pipeline's robustness layer (watchdog,
   /// reorder-window timeout, graceful-degradation admission control). The
-  /// watchdog and timeout default ON with budgets derived from the cycle
-  /// model — generous enough that a fault-free pipeline never trips them —
-  /// while admission control defaults OFF so baseline drop accounting is
+  /// watchdog and the timeout are always on, with budgets derived from the
+  /// cycle model (NicPipeline::watchdog_budget(), reorder_timeout()) —
+  /// generous enough that a fault-free pipeline never trips them — while
+  /// admission control defaults OFF so baseline drop accounting is
   /// unchanged unless a scenario opts in.
+  ///
+  /// Watchdog: the budget, max(250 µs, 64 × cycles_to_ns(kBaseRxCycles +
+  /// kBaseTxCycles)), bounds ONE packet's service time; a worker busy past
+  /// budget × (packets in its burst) is declared stuck and its whole
+  /// in-flight burst is salvaged — each packet requeued (up to three times,
+  /// kWatchdogMaxRetries in nic_pipeline.cpp) or dropped with
+  /// DropReason::kWatchdogAbort. The watchdog scans four times per budget.
+  ///
+  /// Reorder-window hole timeout, twice the budget: a head-of-line hole
+  /// older than this is declared lost and flushed past
+  /// (DropReason::kReorderTimeout) instead of wedging the window until the
+  /// capacity cap.
   struct Recovery {
-    /// Watchdog: the budget bounds ONE packet's service time; a worker busy
-    /// past budget × (packets in its burst) is declared stuck and its whole
-    /// in-flight burst is salvaged — each packet requeued (up to three
-    /// times, kWatchdogMaxRetries in nic_pipeline.cpp) or dropped with
-    /// DropReason::kWatchdogAbort.
-    /// 0 derives the budget from the cycle model: max(250 µs,
-    /// 64 × cycles_to_ns(kBaseRxCycles + kBaseTxCycles)); negative disables
-    /// the watchdog entirely. The watchdog scans four times per budget
-    /// (nic_pipeline.cpp).
-    SimDuration watchdog_budget = 0;
-
-    /// Reorder-window hole timeout: a head-of-line hole older than this is
-    /// declared lost and flushed past (DropReason::kReorderTimeout) instead
-    /// of wedging the window until the capacity cap. 0 derives
-    /// 2 × watchdog budget; negative disables timeout flushing.
-    SimDuration reorder_timeout = 0;
-
     /// Graceful degradation: under sustained Tx-ring occupancy above the
     /// high watermark, drop every Nth submission at the VF boundary
     /// (proportionally, before the rings grow), escalating N = start → …

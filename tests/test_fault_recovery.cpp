@@ -98,7 +98,6 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(FaultRecovery, WatchdogSalvagesCrashedWorkersPackets) {
   sim::Simulator sim;
   np::NpConfig cfg = slow_worker_config();
-  cfg.recovery.watchdog_budget = sim::microseconds(400);
   np::NullProcessor proc;
   np::NicPipeline pipe(sim, cfg, proc);
   int delivered = 0, dropped = 0;
@@ -106,10 +105,11 @@ TEST(FaultRecovery, WatchdogSalvagesCrashedWorkersPackets) {
   pipe.set_on_dropped([&](const net::Packet&) { ++dropped; });
   for (std::uint64_t i = 0; i < 8; ++i) pipe.submit(packet_on(0, i));
   // Both workers picked up a packet at t=0; kill worker 0 mid-execution.
-  // The watchdog must salvage its packet onto the healthy worker, and the
-  // repair must bring the dead micro-engine back with nothing lost.
+  // The watchdog must salvage its packet onto the healthy worker within a
+  // budget and a scan, and the repair after that must bring the dead
+  // micro-engine back with nothing lost.
   sim.schedule_at(sim::microseconds(10), [&] { pipe.fault_crash_worker(0); });
-  sim.schedule_at(sim::milliseconds(5), [&] { pipe.repair_worker(0); });
+  sim.schedule_at(2 * pipe.watchdog_budget(), [&] { pipe.repair_worker(0); });
   sim.run_all();
   EXPECT_GE(pipe.stats().watchdog_requeues, 1u);
   EXPECT_EQ(pipe.stats().workers_repaired, 1u);
@@ -121,31 +121,40 @@ TEST(FaultRecovery, WatchdogSalvagesCrashedWorkersPackets) {
 
 TEST(FaultRecovery, ReorderTimeoutUnwedgesTheWindow) {
   // A crash with reorder enforcement on leaves a head-of-line hole parked
-  // behind the dead worker's sequence number. With the watchdog budget too
-  // generous to salvage in time, the bounded window timeout must declare
-  // the hole lost and flush past it instead of wedging the Tx path.
+  // behind the dead worker's sequence numbers. The timeout is twice the
+  // watchdog budget, so the dead worker holds a 6-packet burst, which the
+  // watchdog allows six budgets: the bounded window timeout must declare
+  // the hole lost and flush past it long before, instead of wedging the Tx
+  // path.
   sim::Simulator sim;
   np::NpConfig cfg = slow_worker_config();
   cfg.enforce_reorder = true;
-  cfg.recovery.watchdog_budget = sim::milliseconds(2);
-  cfg.recovery.reorder_timeout = sim::microseconds(300);
   np::NullProcessor proc;
   np::NicPipeline pipe(sim, cfg, proc);
+  const sim::SimDuration budget = pipe.watchdog_budget();
+  ASSERT_LT(pipe.reorder_timeout() + sim::milliseconds(1), 6 * budget);
   int delivered = 0, dropped = 0;
   pipe.set_on_delivered([&](const net::Packet&) { ++delivered; });
   pipe.set_on_dropped([&](const net::Packet&) { ++dropped; });
+  // Packets 0 and 1 take a worker each; at 100 µs worker 1 finishes first
+  // and pulls 2..7 as one burst, and crashes inside it. Packets 8..11 run
+  // on worker 0 and wait behind the hole.
   for (std::uint64_t i = 0; i < 8; ++i) pipe.submit(packet_on(0, i));
-  sim.schedule_at(sim::microseconds(10), [&] { pipe.fault_crash_worker(0); });
-  sim.schedule_at(sim::milliseconds(5), [&] { pipe.repair_worker(0); });
+  sim.schedule_at(sim::microseconds(200), [&] { pipe.fault_crash_worker(1); });
+  sim.schedule_at(sim::microseconds(300), [&] {
+    for (std::uint64_t i = 8; i < 12; ++i) pipe.submit(packet_on(0, i));
+  });
+  sim.schedule_at(7 * budget, [&] { pipe.repair_worker(1); });
   sim.run_all();
   EXPECT_GE(pipe.stats().reorder_timeout_flushes, 1u);
-  EXPECT_GE(pipe.stats().reorder_timeout_drops, 1u);
+  EXPECT_EQ(pipe.stats().reorder_timeout_drops, 6u);
+  EXPECT_EQ(pipe.stats().watchdog_requeues, 0u);
   EXPECT_EQ(pipe.in_flight(), 0u);
   EXPECT_EQ(pipe.hung_workers(), 0u);
-  // The crashed worker's packet is the only loss; everything parked behind
+  // The crashed worker's burst is the only loss; everything parked behind
   // the hole must have been released and delivered.
-  EXPECT_EQ(delivered + dropped, 8);
-  EXPECT_GE(delivered, 7);
+  EXPECT_EQ(dropped, 6);
+  EXPECT_EQ(delivered, 6);
 }
 
 /// 4 slow workers in 2 islands: blackout must drop the doomed in-flight
@@ -240,9 +249,9 @@ TEST(FaultRecovery, WatchdogEpochGuardSurvivesOverlappingWorkerFaults) {
   sim::Simulator sim;
   np::NpConfig cfg = slow_worker_config();
   cfg.enforce_reorder = true;
-  cfg.recovery.watchdog_budget = sim::microseconds(400);
   np::NullProcessor proc;
   np::NicPipeline pipe(sim, cfg, proc);
+  const sim::SimDuration budget = pipe.watchdog_budget();
   std::vector<std::uint64_t> order;
   int dropped = 0;
   pipe.set_on_delivered([&](const net::Packet& p) { order.push_back(p.id); });
@@ -252,9 +261,9 @@ TEST(FaultRecovery, WatchdogEpochGuardSurvivesOverlappingWorkerFaults) {
   // same worker before the stall clears, then repair. The watchdog entry
   // armed for the stall epoch is stale by the time it fires.
   sim.schedule_at(sim::microseconds(10),
-                  [&] { pipe.fault_stall_worker(0, sim::milliseconds(2)); });
-  sim.schedule_at(sim::microseconds(200), [&] { pipe.fault_crash_worker(0); });
-  sim.schedule_at(sim::milliseconds(5), [&] { pipe.repair_worker(0); });
+                  [&] { pipe.fault_stall_worker(0, 5 * budget); });
+  sim.schedule_at(budget / 2, [&] { pipe.fault_crash_worker(0); });
+  sim.schedule_at(25 * budget / 2, [&] { pipe.repair_worker(0); });
   sim.run_all();
   EXPECT_EQ(pipe.in_flight(), 0u);
   EXPECT_EQ(pipe.hung_workers(), 0u);

@@ -418,7 +418,6 @@ TEST(NpBatchEdge, WatchdogSalvagesWholeInFlightBurst) {
   cfg.batch_size = 32;
   // ~100 µs per packet: the fixed per-packet cycles at a slowed clock.
   cfg.freq_ghz = (kBaseRxCycles + kBaseTxCycles) / 100'000.0;
-  cfg.recovery.watchdog_budget = sim::microseconds(150);
   NullProcessor proc;
   NicPipeline pipe(sim, cfg, proc);
   int delivered = 0, dropped = 0;
@@ -427,9 +426,10 @@ TEST(NpBatchEdge, WatchdogSalvagesWholeInFlightBurst) {
   for (std::uint64_t i = 0; i < 8; ++i) pipe.submit(packet_on(0, i));
   // First submit dispatched a 1-packet burst at t=0; the remaining 7 form
   // the second burst. Crash lands inside that second burst's interval
-  // (per-packet service ≈ 100 µs ⇒ burst spans [100 µs, 800 µs]).
+  // (per-packet service ≈ 100 µs ⇒ burst spans [100 µs, 800 µs]); the
+  // watchdog allows that burst 7 budgets, and the repair comes after.
   sim.schedule_at(sim::microseconds(250), [&] { pipe.fault_crash_worker(0); });
-  sim.schedule_at(sim::milliseconds(10), [&] { pipe.repair_worker(0); });
+  sim.schedule_at(8 * pipe.watchdog_budget(), [&] { pipe.repair_worker(0); });
   sim.run_all();
   EXPECT_EQ(pipe.stats().watchdog_requeues, 7u);
   EXPECT_EQ(pipe.stats().workers_repaired, 1u);

@@ -275,39 +275,51 @@ TEST(NpReorder, RingWrapAroundWithHolesStaysOrdered) {
   EXPECT_EQ(run.pipeline.reorder_occupancy(), 0u);
 }
 
-// A head-of-line hole older than recovery.reorder_timeout is flushed past
-// instead of wedging the window until the capacity cap: survivors release in
-// order and the straggler's eventual completion is dropped, not reordered.
+// A head-of-line hole older than the reorder timeout is flushed past instead
+// of wedging the window until the capacity cap: survivors release in order
+// and the straggler's eventual completion is dropped, not reordered. The
+// timeout is twice the watchdog budget, so the straggler sits in a 4-packet
+// burst: the watchdog allows that burst four budgets, and the timeout
+// fires first.
 TEST(NpReorder, HoleTimeoutFlushReleasesSurvivors) {
   NpConfig cfg = three_worker_config();
-  cfg.recovery.watchdog_budget = -1;  // isolate the timeout path: no salvage
-  cfg.recovery.reorder_timeout = sim::microseconds(300);
+  cfg.batch_size = 4;
   Rig run(cfg);
-  run.proc.script(0, true, 1000000);  // ~836 us busy, far past the timeout
-  for (std::uint64_t id = 1; id <= 4; ++id) run.proc.script(id, true, 100);
+  // 0..2 take one worker each. The first to finish (0) pulls the burst
+  // 3..6, the next (1) pulls 7 and 8, which finish behind the hole at 3.
+  run.proc.script(0, true, 100);
+  run.proc.script(1, true, 200);
+  run.proc.script(2, true, 300);
+  run.proc.script(3, true, 1000000);  // ~833 us: past the timeout
+  const sim::SimDuration straggler = cfg.cycles_to_ns(1000000);
+  ASSERT_GT(straggler, run.pipeline.reorder_timeout());
+  ASSERT_LT(straggler + sim::microseconds(20), 4 * run.pipeline.watchdog_budget());
 
-  for (std::uint64_t id = 0; id <= 4; ++id)
+  for (std::uint64_t id = 0; id <= 8; ++id)
     EXPECT_TRUE(run.pipeline.submit(make_packet(id)));
   run.sim.run_all();
 
-  EXPECT_EQ(run.delivered, (std::vector<std::uint64_t>{1, 2, 3, 4}));
-  EXPECT_EQ(run.dropped, (std::vector<std::uint64_t>{0}));
+  EXPECT_EQ(run.delivered, (std::vector<std::uint64_t>{0, 1, 2, 7, 8}));
+  std::sort(run.dropped.begin(), run.dropped.end());
+  EXPECT_EQ(run.dropped, (std::vector<std::uint64_t>{3, 4, 5, 6}));
   const auto& st = run.pipeline.stats();
   EXPECT_GE(st.reorder_timeout_flushes, 1u);
+  EXPECT_EQ(st.reorder_timeout_drops, 4u);
   EXPECT_EQ(st.reorder_flushes, 0u);  // timeout fired well before the cap
+  EXPECT_EQ(st.watchdog_requeues, 0u);
   EXPECT_EQ(run.pipeline.in_flight(), 0u);
   EXPECT_EQ(run.pipeline.reorder_occupancy(), 0u);
 }
 
-// A worker stuck past recovery.watchdog_budget has its packet salvaged and
+// A worker stuck past the watchdog budget has its packet salvaged and
 // requeued; the retry skips the processor (the verdict stands), so the packet
 // still reaches the wire — in ingress order, ahead of everything buffered
 // behind its hole.
 TEST(NpReorder, WatchdogRequeueDeliversInOrder) {
   NpConfig cfg = three_worker_config();
-  cfg.recovery.watchdog_budget = sim::microseconds(400);
   Rig run(cfg);
-  run.proc.script(0, true, 1000000);  // ~836 us busy > 400 us budget
+  run.proc.script(0, true, 1000000);  // ~833 us busy
+  ASSERT_GT(cfg.cycles_to_ns(1000000), run.pipeline.watchdog_budget());
   for (std::uint64_t id = 1; id <= 4; ++id) run.proc.script(id, true, 100);
 
   for (std::uint64_t id = 0; id <= 4; ++id)
