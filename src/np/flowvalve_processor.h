@@ -27,8 +27,8 @@ class FlowValveProcessor final : public PacketProcessor {
   }
 
   /// Burst path: hand the whole burst to the engine so it can amortize
-  /// EMC lookups and repeated tail drops across same-flow packets (exact
-  /// per the batch-1 differential oracle).
+  /// EMC lookups across same-flow packets (exact per the batch-1
+  /// differential oracle).
   void process_batch(BatchSlot* slots, std::size_t n, sim::SimTime now) override {
     entries_.clear();
     for (std::size_t i = 0; i < n; ++i)
