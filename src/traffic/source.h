@@ -28,8 +28,13 @@ class IdAllocator {
   std::uint32_t flow_id_ = 0;
 };
 
+/// A source registers its own address with the FlowRouter and captures it
+/// in simulator events, so it is neither copied nor moved.
 class TrafficSource {
  public:
+  TrafficSource() = default;
+  TrafficSource(const TrafficSource&) = delete;
+  TrafficSource& operator=(const TrafficSource&) = delete;
   virtual ~TrafficSource() = default;
   virtual void start() = 0;
   virtual void stop() = 0;

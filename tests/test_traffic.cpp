@@ -253,7 +253,7 @@ TEST(OnOffFlowTest, KeepsOneSendChainAcrossShortOffPeriods) {
   // The fuzz runner's on/off flow: a 100 Mbps flow bursting at 200 Mbps,
   // 1518 B frames, 1 ms mean ON and OFF. Many OFF periods end before the
   // pending send would fire; the ON period after one must not run a second
-  // chain beside it. Two chains sent 18184 packets here, 1407 of them less
+  // chain beside it. Two chains sent 18184 packets here, 1427 of them less
   // than a burst gap after the previous one.
   sim::Simulator sim;
   InstantSink sink;
