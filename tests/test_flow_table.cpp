@@ -3,12 +3,14 @@
 // clamping, the bounded BFS kick path, idle eviction amortized into
 // lookups, integrity-tag poison detection, the poison × label-epoch ×
 // eviction interleavings, the degraded-mode state machine's determinism,
-// and the million-flow churn soak across every scheduler backend and both
-// batch sizes with the cache-coherence checker armed.
+// a digest of everything a caller observes across one op stream, and the
+// million-flow churn soak across every scheduler backend and both batch
+// sizes with the cache-coherence checker armed.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "check/fuzzer.h"
@@ -415,6 +417,145 @@ TEST(FlowTable, RelapseDuringRecoveryReclosesTheGate) {
   EXPECT_EQ(cache.health(), ExactMatchFlowCache::Health::kDegraded);
   EXPECT_EQ(cache.stats().degraded_transitions, 2u);
   EXPECT_EQ(cache.failure_score(), Cache::kRelapseThreshold);
+}
+
+// ---- observable-behaviour trace -------------------------------------------
+// One op stream covering every path of the table (direct slots, kick
+// chains, kick failures, stalest eviction, epoch invalidation, both poison
+// kinds, both storms through the whole health lifecycle, replayed hits,
+// idle sweeps, invalidate_all and clear), with everything a caller can
+// observe folded into a digest after every op. A change to the table's
+// layout must leave both digests as they are; a deliberate change to what
+// the table does must re-record them.
+
+/// FNV-1a over 64-bit words.
+struct Fnv {
+  std::uint64_t h = 14695981039346656037ull;
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 1099511628211ull;
+    }
+  }
+};
+
+std::uint16_t vf_n(std::uint64_t serial) { return static_cast<std::uint16_t>(serial % 3); }
+
+struct OpStream {
+  std::uint64_t digest = 0;
+  ExactMatchFlowCache::Stats after_lifecycle;  // before the eviction storm
+  ExactMatchFlowCache::Health health_after_lifecycle{};
+};
+
+OpStream run_op_stream(std::size_t capacity) {
+  ExactMatchFlowCache cache(ExactMatchFlowCache::Options{
+      .capacity = capacity, .idle_timeout_ticks = 500});
+  Fnv d;
+  const auto state = [&] {
+    const ExactMatchFlowCache::Stats& s = cache.stats();
+    for (std::uint64_t v :
+         {s.hits, s.misses, s.insertions, s.evictions, s.stale_invalidations,
+          s.idle_evictions, s.kicks, s.kick_failures, s.corruption_detected,
+          s.suppressed_inserts, s.degraded_transitions, s.degraded_dwell_lookups,
+          s.recovering_dwell_lookups})
+      d.mix(v);
+    d.mix(static_cast<std::uint64_t>(cache.health()));
+    d.mix(cache.failure_score());
+    d.mix(cache.size());
+    d.mix(cache.mutation_stamp());
+    for (std::uint64_t n : cache.occupancy_histogram()) d.mix(n);
+  };
+  const auto label = [&](std::optional<ClassLabelId> l) {
+    d.mix(l ? *l : std::uint64_t{1} << 40);  // no label id reaches 2^40
+    state();
+  };
+  const auto count = [&](std::size_t n) {
+    d.mix(n);
+    state();
+  };
+  std::uint64_t tick = 0;
+  const auto lookup = [&](std::uint64_t serial, std::uint32_t epoch = 0) {
+    label(cache.lookup(vf_n(serial), tuple_n(serial), tick++, epoch));
+  };
+  const auto insert = [&](std::uint64_t serial, ClassLabelId l, std::uint32_t epoch = 0) {
+    const auto out = cache.insert(vf_n(serial), tuple_n(serial), l, tick++, epoch);
+    d.mix(out.inserted);
+    d.mix(out.kicks);
+    state();
+  };
+
+  // Past the direct slots: kicks, BFS chains, kick failures at high load
+  // and stalest eviction; then refreshes with a new label.
+  for (std::uint64_t i = 0; i < 96; ++i) insert(i, static_cast<ClassLabelId>(i % 7));
+  for (std::uint64_t i = 90; i < 96; ++i) insert(i, static_cast<ClassLabelId>(i % 7 + 1));
+  // Hits and misses, then a label-epoch bump.
+  for (std::uint64_t i = 0; i < 128; ++i) lookup(i);
+  for (std::uint64_t i = 60; i < 128; ++i) lookup(i, /*epoch=*/1);
+  for (std::uint64_t i = 100; i < 120; ++i) insert(i, static_cast<ClassLabelId>(i % 5), 1);
+  for (std::uint64_t i = 96; i < 124; ++i) lookup(i, 1);
+  // Detectable poison, then silent poison seen through peek.
+  count(cache.poison(/*stride=*/3, /*label_count=*/7, /*fix_tag=*/false));
+  for (std::uint64_t i = 96; i < 124; ++i) lookup(i, 1);
+  count(cache.poison(2, 7, /*fix_tag=*/true));
+  for (std::uint64_t i = 0; i < 128; ++i) label(cache.peek(vf_n(i), tuple_n(i), 1));
+  for (std::uint64_t i = 0; i < 8; ++i) label(cache.peek(vf_n(i), tuple_n(i), 0));
+  // A churn storm, replayed hits, then idle sweeps past the timeout.
+  count(cache.fault_churn_storm(/*seed=*/7, /*n=*/40, tick++));
+  for (int i = 0; i < 5; ++i) {
+    cache.replay_hit(tick++);
+    state();
+  }
+  tick += 1000;
+  for (std::uint64_t i = 0; i < 64; ++i) lookup(1000 + i);
+  // A collision storm degrades the table; lookups (with inserts and
+  // replayed hits mixed in) carry it through recovering back to healthy.
+  for (std::uint64_t i = 200; i < 216; ++i) insert(i, 3);
+  count(cache.fault_collision_storm(/*seed=*/42, /*n=*/64, tick++));
+  for (std::uint64_t i = 0; i < 2400; ++i) {
+    if (i % 97 == 0) insert(300 + i, 4);
+    if (i % 13 == 0) {
+      cache.replay_hit(tick++);
+      state();
+    }
+    lookup(200 + i % 24);
+  }
+  OpStream out;
+  out.after_lifecycle = cache.stats();
+  out.health_after_lifecycle = cache.health();
+  // An eviction storm, then a clear.
+  count(cache.invalidate_all());
+  for (std::uint64_t i = 200; i < 216; ++i) lookup(i);
+  for (std::uint64_t i = 0; i < 12; ++i) insert(i, 2);
+  cache.clear();
+  state();
+  for (std::uint64_t i = 0; i < 12; ++i) lookup(i);
+  for (std::uint64_t i = 0; i < 12; ++i) insert(i, 6);
+  out.digest = d.h;
+  return out;
+}
+
+TEST(FlowTableTrace, SmallTableKeepsItsDigest) {
+  const OpStream run = run_op_stream(64);
+  // The stream reaches every path it claims to on the small table.
+  const ExactMatchFlowCache::Stats& s = run.after_lifecycle;
+  EXPECT_GT(s.kicks, 0u);
+  EXPECT_GT(s.kick_failures, 0u);
+  EXPECT_GT(s.evictions, 0u);
+  EXPECT_GT(s.stale_invalidations, 0u);
+  EXPECT_GT(s.corruption_detected, 0u);
+  EXPECT_GT(s.idle_evictions, 0u);
+  EXPECT_GT(s.suppressed_inserts, 0u);
+  EXPECT_EQ(s.degraded_transitions, 1u);
+  EXPECT_GT(s.recovering_dwell_lookups, 0u);
+  EXPECT_EQ(run.health_after_lifecycle, ExactMatchFlowCache::Health::kHealthy);
+  EXPECT_EQ(run.digest, 0x385f90c7772d38cbull);
+}
+
+TEST(FlowTableTrace, LargeTableKeepsItsDigest) {
+  const OpStream run = run_op_stream(std::size_t{1} << 16);
+  EXPECT_EQ(run.after_lifecycle.degraded_transitions, 1u);
+  EXPECT_EQ(run.health_after_lifecycle, ExactMatchFlowCache::Health::kHealthy);
+  EXPECT_EQ(run.digest, 0xa5175077848e812bull);
 }
 
 }  // namespace
