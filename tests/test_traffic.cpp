@@ -333,5 +333,58 @@ TEST(FlowRouterTest, TracksAppSeries) {
   EXPECT_GT(series.total_bytes(), 0u);
 }
 
+/// Delivers a packet whose flow id is even and drops the rest, at once.
+class EchoDevice final : public net::EgressDevice {
+ public:
+  bool submit(net::Packet pkt) override {
+    if (pkt.flow_id % 2 == 0) {
+      deliver(pkt);
+      return true;
+    }
+    notify_drop(pkt);
+    return false;
+  }
+};
+
+/// Counts the feedback the router hands it.
+class CountingSource final : public TrafficSource {
+ public:
+  void start() override {}
+  void stop() override {}
+  void on_delivered(const net::Packet&) override { ++delivered; }
+  void on_dropped(const net::Packet&) override { ++dropped; }
+  int delivered = 0;
+  int dropped = 0;
+};
+
+TEST(FlowRouterTest, RoutesByFlowIdAndIgnoresUnknownIds) {
+  EchoDevice dev;
+  FlowRouter router(dev);
+  CountingSource a, b;
+  const auto send = [&](std::uint32_t flow_id) {
+    net::Packet pkt;
+    pkt.flow_id = flow_id;
+    dev.submit(pkt);
+  };
+  router.register_flow(1, &a);
+  router.register_flow(6, &b);  // past the end: the table grows
+  send(1);
+  send(6);
+  EXPECT_EQ(a.dropped, 1);
+  EXPECT_EQ(b.delivered, 1);
+  // Never registered, in range and past the end: ignored.
+  for (std::uint32_t id : {0u, 2u, 3u, 7u, 1000u, 0xFFFFFFFFu}) send(id);
+  router.unregister_flow(6);
+  router.unregister_flow(1000);  // never registered: a no-op
+  send(6);
+  EXPECT_EQ(b.delivered, 1);
+  // A re-registered id routes to its new source.
+  router.register_flow(6, &a);
+  send(6);
+  EXPECT_EQ(a.delivered, 1);
+  EXPECT_EQ(a.dropped, 1);
+  EXPECT_EQ(b.dropped, 0);
+}
+
 }  // namespace
 }  // namespace flowvalve::traffic
