@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks for the core data structures: token
 // buckets, the scheduling tree's update/θ-derivation, the classifier with
-// and without flow-cache hits, the event queue, and the HTB baseline's hot
+// and without flow-cache hits, the flow cache's hits, misses and inserts at
+// churn_1m's million-flow scale, the event queue, and the HTB baseline's hot
 // paths. These are wall-clock benchmarks of the *implementation* (the
 // figure benches measure virtual-time behaviour).
 #include <benchmark/benchmark.h>
@@ -205,6 +206,112 @@ void BM_BucketQueueChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BucketQueueChurn);
+
+}  // namespace
+
+// ---- appended: the flow cache at churn_1m's scale -------------------------
+
+#include "traffic/churn.h"
+
+namespace {
+
+using namespace flowvalve;
+
+// perfbench's churn_1m scene: a 2^21-slot cache primed at tick 0 with
+// churn serials 0..2^20-1 spread over four VFs. The table (96.5 MiB, or
+// 128 MiB with 64-byte entries) is far larger than the CPU caches.
+constexpr std::size_t kScaleSlots = std::size_t{1} << 21;
+constexpr std::uint64_t kScaleFlows = std::uint64_t{1} << 20;
+constexpr unsigned kScaleVfs = 4;
+
+struct ChurnKey {
+  std::uint16_t vf = 0;
+  net::FiveTuple tuple;
+};
+
+ChurnKey churn_key(std::uint64_t serial) {
+  return {traffic::ChurnWorkload::vf_for(serial, kScaleVfs),
+          traffic::ChurnWorkload::tuple_for(serial)};
+}
+
+net::ClassLabelId churn_label(std::uint64_t serial) {
+  return static_cast<net::ClassLabelId>(serial % 8);
+}
+
+/// Keys for serials [first, first + kScaleFlows) in a seeded random order.
+std::vector<ChurnKey> shuffled_keys(std::uint64_t first) {
+  std::vector<ChurnKey> keys;
+  keys.reserve(kScaleFlows);
+  for (std::uint64_t s = first; s < first + kScaleFlows; ++s) keys.push_back(churn_key(s));
+  sim::Rng rng(11);
+  for (std::size_t i = keys.size() - 1; i > 0; --i)
+    std::swap(keys[i], keys[rng.next_below(i + 1)]);
+  return keys;
+}
+
+core::ExactMatchFlowCache& primed_cache() {
+  static core::ExactMatchFlowCache* cache = [] {
+    auto* c = new core::ExactMatchFlowCache(kScaleSlots);
+    for (std::uint64_t s = 0; s < kScaleFlows; ++s) {
+      const ChurnKey k = churn_key(s);
+      c->insert(k.vf, k.tuple, churn_label(s), /*now_tick=*/0);
+    }
+    return c;
+  }();
+  return *cache;
+}
+
+/// Lookups against the primed table: every resident serial in a shuffled
+/// order (hits), or as many serials that were never inserted (misses).
+void lookups_at_scale(benchmark::State& state, std::uint64_t first_serial) {
+  core::ExactMatchFlowCache& cache = primed_cache();
+  const std::vector<ChurnKey> keys = shuffled_keys(first_serial);
+  std::size_t i = 0;
+  std::uint64_t tick = 1;
+  for (auto _ : state) {
+    const ChurnKey& k = keys[i];
+    benchmark::DoNotOptimize(cache.lookup(k.vf, k.tuple, tick++));
+    if (++i == keys.size()) i = 0;
+  }
+}
+
+/// Inserts that prime an empty table to the scene's load, in serial order
+/// as the scene primes it; the table is cleared (untimed) between passes.
+void inserts_at_scale(benchmark::State& state) {
+  core::ExactMatchFlowCache cache(kScaleSlots);
+  std::uint64_t serial = 0;
+  for (auto _ : state) {
+    if (serial == kScaleFlows) {
+      state.PauseTiming();
+      cache.clear();
+      serial = 0;
+      state.ResumeTiming();
+    }
+    const ChurnKey k = churn_key(serial);
+    benchmark::DoNotOptimize(cache.insert(k.vf, k.tuple, churn_label(serial), 0));
+    ++serial;
+  }
+}
+
+enum class ScaleOp { kHit, kMiss, kInsert };
+
+void BM_FlowCacheAtScale(benchmark::State& state, ScaleOp op) {
+  switch (op) {
+    case ScaleOp::kHit:
+      lookups_at_scale(state, 0);
+      break;
+    case ScaleOp::kMiss:
+      lookups_at_scale(state, kScaleFlows);
+      break;
+    case ScaleOp::kInsert:
+      inserts_at_scale(state);
+      break;
+  }
+}
+BENCHMARK_CAPTURE(BM_FlowCacheAtScale, hit, ScaleOp::kHit);
+BENCHMARK_CAPTURE(BM_FlowCacheAtScale, miss, ScaleOp::kMiss);
+BENCHMARK_CAPTURE(BM_FlowCacheAtScale, insert, ScaleOp::kInsert)
+    ->Iterations(2 * kScaleFlows);
 
 }  // namespace
 
