@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "sim/fnv.h"
+
 namespace flowvalve::sim {
 namespace {
 
@@ -16,16 +18,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 }
 
 std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-// FNV-1a for stream-name hashing.
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 }  // namespace
 

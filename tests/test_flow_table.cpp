@@ -18,6 +18,7 @@
 #include "core/classifier.h"
 #include "fault/fault.h"
 #include "net/packet.h"
+#include "sim/fnv.h"
 
 namespace flowvalve::core {
 namespace {
@@ -428,17 +429,6 @@ TEST(FlowTable, RelapseDuringRecoveryReclosesTheGate) {
 // layout must leave both digests as they are; a deliberate change to what
 // the table does must re-record them.
 
-/// FNV-1a over 64-bit words.
-struct Fnv {
-  std::uint64_t h = 14695981039346656037ull;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 1099511628211ull;
-    }
-  }
-};
-
 std::uint16_t vf_n(std::uint64_t serial) { return static_cast<std::uint16_t>(serial % 3); }
 
 struct OpStream {
@@ -450,7 +440,7 @@ struct OpStream {
 OpStream run_op_stream(std::size_t capacity) {
   ExactMatchFlowCache cache(ExactMatchFlowCache::Options{
       .capacity = capacity, .idle_timeout_ticks = 500});
-  Fnv d;
+  sim::Fnv1a d;
   const auto state = [&] {
     const ExactMatchFlowCache::Stats& s = cache.stats();
     for (std::uint64_t v :
@@ -530,7 +520,7 @@ OpStream run_op_stream(std::size_t capacity) {
   state();
   for (std::uint64_t i = 0; i < 12; ++i) lookup(i);
   for (std::uint64_t i = 0; i < 12; ++i) insert(i, 6);
-  out.digest = d.h;
+  out.digest = d.value();
   return out;
 }
 

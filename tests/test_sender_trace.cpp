@@ -9,6 +9,7 @@
 #include <memory>
 
 #include "host/probes.h"
+#include "sim/fnv.h"
 #include "sim/simulator.h"
 #include "traffic/generators.h"
 #include "traffic/tcp.h"
@@ -18,22 +19,11 @@ namespace {
 
 using sim::Rate;
 
-/// FNV-1a over 64-bit words.
-struct Fnv {
-  std::uint64_t h = 14695981039346656037ull;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 1099511628211ull;
-    }
-  }
-};
-
 /// Folds every submitted packet into a digest, drops every `drop_every`-th
 /// one (0: none) and delivers the rest 5 µs later.
 class TraceDevice final : public net::EgressDevice {
  public:
-  TraceDevice(sim::Simulator& sim, Fnv& digest, unsigned drop_every)
+  TraceDevice(sim::Simulator& sim, sim::Fnv1a& digest, unsigned drop_every)
       : sim_(sim), digest_(digest), drop_every_(drop_every) {}
 
   bool submit(net::Packet pkt) override {
@@ -61,7 +51,7 @@ class TraceDevice final : public net::EgressDevice {
 
  private:
   sim::Simulator& sim_;
-  Fnv& digest_;
+  sim::Fnv1a& digest_;
   unsigned drop_every_;
   std::uint64_t count_ = 0;
 };
@@ -85,7 +75,7 @@ traffic::FlowSpec trace_spec(traffic::IdAllocator& ids, std::uint32_t bytes) {
 template <class Make>
 std::uint64_t trace_digest(Make make, unsigned drop_every = 0) {
   sim::Simulator sim;
-  Fnv digest;
+  sim::Fnv1a digest;
   TraceDevice dev(sim, digest, drop_every);
   traffic::IdAllocator ids;
   traffic::FlowRouter router(dev);
@@ -99,7 +89,7 @@ std::uint64_t trace_digest(Make make, unsigned drop_every = 0) {
   sender->stop();
   sim.run_all();
   digest.mix(sim.events_executed());
-  return digest.h;
+  return digest.value();
 }
 
 std::uint64_t cbr_digest(unsigned clump, double jitter) {

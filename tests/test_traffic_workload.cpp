@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/fnv.h"
 #include "sim/simulator.h"
 #include "traffic/churn.h"
 #include "traffic/workload.h"
@@ -197,22 +198,11 @@ TEST(ChurnWorkloadTest, SerialSchemeYieldsUniqueKeysAcrossVfs) {
   EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end());
 }
 
-/// FNV-1a over 64-bit words: the churn tests' fingerprint of a run.
-struct Fnv {
-  std::uint64_t h = 14695981039346656037ull;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 1099511628211ull;
-    }
-  }
-};
-
 /// Sink that folds every packet created up to `horizon` into a digest and
 /// counts the distinct instants at which packets were submitted.
 class DigestSink final : public net::EgressDevice {
  public:
-  DigestSink(sim::Simulator& sim, Fnv& digest, sim::SimTime horizon)
+  DigestSink(sim::Simulator& sim, sim::Fnv1a& digest, sim::SimTime horizon)
       : sim_(sim), digest_(digest), horizon_(horizon) {}
   bool submit(net::Packet pkt) override {
     if (pkt.created_at <= horizon_) {
@@ -238,7 +228,7 @@ class DigestSink final : public net::EgressDevice {
 
  private:
   sim::Simulator& sim_;
-  Fnv& digest_;
+  sim::Fnv1a& digest_;
   sim::SimTime horizon_;
   std::uint64_t instants_ = 0;
   sim::SimTime last_ = 0;
@@ -266,7 +256,7 @@ ChurnWorkloadConfig at_cap_config(std::uint32_t train, std::uint32_t bytes,
 std::uint64_t churn_history_digest(const ChurnWorkloadConfig& cfg, sim::Rng rng,
                                    sim::SimTime horizon) {
   sim::Simulator sim;
-  Fnv digest;
+  sim::Fnv1a digest;
   DigestSink sink(sim, digest, horizon);
   IdAllocator ids;
   FlowRouter router(sink);
@@ -280,7 +270,7 @@ std::uint64_t churn_history_digest(const ChurnWorkloadConfig& cfg, sim::Rng rng,
     digest.mix(started);
   }
   digest.mix(started);
-  return digest.h;
+  return digest.value();
 }
 
 TEST(ChurnWorkloadTest, ParkedArrivalsKeepEverySpawnInstantAndPacket) {
@@ -302,7 +292,7 @@ TEST(ChurnWorkloadTest, AtTheCapArrivalsCostNoEvents) {
   // At the cap an arrival only draws its gap, so it must not cost an
   // event: the run executes one event per service plus one per spawn.
   sim::Simulator sim;
-  Fnv digest;
+  sim::Fnv1a digest;
   const sim::SimTime horizon = sim::milliseconds(5);
   DigestSink sink(sim, digest, horizon);
   IdAllocator ids;
