@@ -1,10 +1,13 @@
 // Google-benchmark microbenchmarks for the core data structures: token
 // buckets, the scheduling tree's update/θ-derivation, the classifier with
 // and without flow-cache hits, the flow cache's hits, misses and inserts at
-// churn_1m's million-flow scale, the event queue, and the HTB baseline's hot
-// paths. These are wall-clock benchmarks of the *implementation* (the
-// figure benches measure virtual-time behaviour).
+// churn_1m's million-flow scale, the event queue, the HTB baseline's hot
+// paths, and the check layer's per-packet and audit costs. These are
+// wall-clock benchmarks of the *implementation* (the figure benches
+// measure virtual-time behaviour).
 #include <benchmark/benchmark.h>
+
+#include <optional>
 
 #include "baseline/htb.h"
 #include "core/flowvalve.h"
@@ -312,6 +315,78 @@ BENCHMARK_CAPTURE(BM_FlowCacheAtScale, hit, ScaleOp::kHit);
 BENCHMARK_CAPTURE(BM_FlowCacheAtScale, miss, ScaleOp::kMiss);
 BENCHMARK_CAPTURE(BM_FlowCacheAtScale, insert, ScaleOp::kInsert)
     ->Iterations(2 * kScaleFlows);
+
+/// The coherence audit's recount of the occupancy books: a 2^18-slot table,
+/// the fuzz corpus's largest, holding a few dozen flows as most fuzz
+/// scenarios do, or the primed 2^21-slot table above.
+void BM_OccupancyHistogram(benchmark::State& state, bool primed) {
+  std::optional<core::ExactMatchFlowCache> sparse;
+  if (!primed) {
+    sparse.emplace(std::size_t{1} << 18);
+    for (std::uint64_t s = 0; s < 48; ++s) {
+      const ChurnKey k = churn_key(s);
+      sparse->insert(k.vf, k.tuple, churn_label(s), /*now_tick=*/0);
+    }
+  }
+  const core::ExactMatchFlowCache& cache = primed ? primed_cache() : *sparse;
+  for (auto _ : state) benchmark::DoNotOptimize(cache.occupancy_histogram());
+}
+BENCHMARK_CAPTURE(BM_OccupancyHistogram, fuzz_2e18, false);
+BENCHMARK_CAPTURE(BM_OccupancyHistogram, primed_2e21, true);
+
+}  // namespace
+
+// ---- appended: the check layer per packet ---------------------------------
+
+#include "check/checker.h"
+#include "np/nic_pipeline.h"
+
+namespace {
+
+using namespace flowvalve;
+
+/// The standard checkers' cost per packet, which perfbench cannot split
+/// out of fuzz_chaos: an in-order stream fed straight to the harness of a
+/// NullProcessor pipeline with reorder on, one packet per iteration
+/// through submit → dispatch → wire_tx → delivered at one instant. With no
+/// engine, the engine-result hook never fires. The stream is clean, so the
+/// sink must stay so.
+void BM_CheckHarnessPacket(benchmark::State& state) {
+  constexpr std::uint32_t kFlows = 64;
+  // One 1518-byte frame per µs is about 12 Gb/s, under the default 40G.
+  constexpr sim::SimDuration kGap = sim::microseconds(1);
+  sim::Simulator sim;
+  np::NullProcessor proc;
+  const np::NpConfig cfg;
+  np::NicPipeline pipeline(sim, cfg, proc);
+  check::CheckHarness harness(sim, pipeline, nullptr);
+  harness.add_standard_checkers();
+  std::vector<std::uint64_t> seq(kFlows + 1, 0);
+  net::Packet pkt;
+  pkt.wire_bytes = 1518;
+  sim::SimTime t = cfg.fixed_pipeline_delay;
+  for (auto _ : state) {
+    ++pkt.id;
+    pkt.flow_id = static_cast<std::uint32_t>(pkt.id % kFlows) + 1;
+    pkt.vf_port = static_cast<std::uint16_t>(pkt.flow_id % cfg.num_vfs);
+    pkt.seq_in_flow = ++seq[pkt.flow_id];
+    t += kGap;
+    sim.run_until(t);  // the dispatch hook reads the simulator's clock
+    pkt.created_at = pkt.nic_arrival = pkt.tx_enqueue = pkt.wire_tx_done =
+        t - cfg.fixed_pipeline_delay;
+    pkt.delivered_at = t;
+    harness.on_submit(pkt, t);
+    harness.on_dispatch(pkt, /*worker=*/0, /*seq=*/pkt.id - 1, t, kGap);
+    harness.on_wire_tx(pkt, t);
+    harness.on_delivered(pkt, t);
+  }
+  if (!harness.sink().clean())
+    state.SkipWithError(harness.sink().violations().front().to_string().c_str());
+  state.counters["per_pkt"] = benchmark::Counter(
+      static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_CheckHarnessPacket);
 
 }  // namespace
 

@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "check/invariants.h"
-
 namespace flowvalve::check {
 
 std::string Violation::to_string() const {
@@ -33,25 +31,14 @@ CheckHarness::~CheckHarness() {
   if (engine_ && started_) engine_->set_process_observer(nullptr);
 }
 
-void CheckHarness::add(std::unique_ptr<InvariantChecker> checker) {
-  checker->sink_ = &sink_;
-  checkers_.push_back(std::move(checker));
-}
-
-void CheckHarness::add_standard_checkers() {
-  for (auto& c : standard_checkers(pipeline_.config(), engine_)) add(std::move(c));
-}
-
 SystemView CheckHarness::view() const {
   return SystemView{&pipeline_, engine_, delivered_};
 }
 
-void CheckHarness::observe_clock(sim::SimTime now) {
-  if (now < last_event_time_)
-    sink_.report("virtual-time", now,
-                 "clock went backwards: observed " + std::to_string(now) +
-                     " after " + std::to_string(last_event_time_));
-  last_event_time_ = now;
+void CheckHarness::clock_went_backwards(sim::SimTime now) {
+  sink_.report("virtual-time", now,
+               "clock went backwards: observed " + std::to_string(now) +
+                   " after " + std::to_string(last_event_time_));
 }
 
 void CheckHarness::start() {
@@ -60,10 +47,7 @@ void CheckHarness::start() {
   if (engine_) {
     engine_->set_process_observer(
         [this](const net::Packet& pkt, const core::FlowValveEngine::Result& r,
-               sim::SimTime now) {
-          observe_clock(now);
-          for (auto& c : checkers_) c->on_engine_result(pkt, r, now);
-        });
+               sim::SimTime now) { on_engine_result(pkt, r, now); });
   }
   epoch_timer_ = std::make_unique<sim::PeriodicTimer>(sim_, kEpoch, [this] {
     observe_clock(sim_.now());
@@ -90,7 +74,7 @@ void CheckHarness::finish() {
 
 void CheckHarness::on_submit(const net::Packet& pkt, sim::SimTime now) {
   observe_clock(now);
-  for (auto& c : checkers_) c->on_submit(pkt, now);
+  for (InvariantChecker* c : hooked_.submit) c->on_submit(pkt, now);
 }
 
 void CheckHarness::on_dispatch(const net::Packet& pkt, unsigned worker,
@@ -101,30 +85,40 @@ void CheckHarness::on_dispatch(const net::Packet& pkt, unsigned worker,
   // clock by design (the slices tile the busy interval). The kernel-
   // ordering probe must watch the real clock, not the logical one.
   observe_clock(sim_.now());
-  for (auto& c : checkers_) c->on_dispatch(pkt, worker, seq, now, busy);
+  for (InvariantChecker* c : hooked_.dispatch)
+    c->on_dispatch(pkt, worker, seq, now, busy);
 }
 
 void CheckHarness::on_drop(const net::Packet& pkt, np::DropReason reason,
                            sim::SimTime now) {
   observe_clock(now);
-  for (auto& c : checkers_) c->on_drop(pkt, reason, now);
+  for (InvariantChecker* c : hooked_.drop) c->on_drop(pkt, reason, now);
 }
 
 void CheckHarness::on_wire_tx(const net::Packet& pkt, sim::SimTime now) {
   observe_clock(now);
-  for (auto& c : checkers_) c->on_wire_tx(pkt, now);
+  for (InvariantChecker* c : hooked_.wire_tx) c->on_wire_tx(pkt, now);
 }
 
 void CheckHarness::on_delivered(const net::Packet& pkt, sim::SimTime now) {
   observe_clock(now);
   ++delivered_;
-  for (auto& c : checkers_) c->on_delivered(pkt, now);
+  for (InvariantChecker* c : hooked_.delivered) c->on_delivered(pkt, now);
 }
 
 void CheckHarness::on_watchdog(const net::Packet& pkt, unsigned worker,
                                std::uint64_t seq, sim::SimTime now) {
   observe_clock(now);
-  for (auto& c : checkers_) c->on_watchdog(pkt, worker, seq, now);
+  for (InvariantChecker* c : hooked_.watchdog)
+    c->on_watchdog(pkt, worker, seq, now);
+}
+
+void CheckHarness::on_engine_result(const net::Packet& pkt,
+                                    const core::FlowValveEngine::Result& result,
+                                    sim::SimTime now) {
+  observe_clock(now);
+  for (InvariantChecker* c : hooked_.engine_result)
+    c->on_engine_result(pkt, result, now);
 }
 
 }  // namespace flowvalve::check

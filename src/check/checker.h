@@ -1,10 +1,10 @@
 // Invariant-checking subsystem (see DESIGN.md §7).
 //
 // A CheckHarness taps a NicPipeline (as its PipelineObserver) and optionally
-// a FlowValveEngine (via the process observer), fans every event out to a
-// set of pluggable InvariantChecker instances, samples slow-changing state
-// on a periodic epoch timer, and collects violations. The checkers encode
-// the paper's correctness claims — packet conservation through the single
+// a FlowValveEngine (via the process observer), hands every event to the
+// pluggable InvariantChecker instances that override its hook, samples
+// slow-changing state on a periodic epoch timer, and collects violations.
+// The checkers encode the paper's correctness claims — packet conservation through the single
 // shared FIFO, in-order wire delivery through the reorder system, token-
 // bucket/ceiling conformance, scheduling-tree arithmetic, monotonic virtual
 // time, and worker busy-interval exclusivity — so any randomized scenario
@@ -16,6 +16,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/flowvalve.h"
@@ -62,7 +63,9 @@ struct SystemView {
 
 /// One pluggable invariant. Event hooks mirror PipelineObserver; on_epoch
 /// runs on the harness's sampling timer; on_finish runs once after the
-/// simulation has fully drained (quiescence assertions go there).
+/// simulation has fully drained (quiescence assertions go there). A checker
+/// overrides only the hooks it reads: the harness calls a per-packet hook
+/// only on the checkers whose type overrides it.
 class InvariantChecker {
  public:
   virtual ~InvariantChecker() = default;
@@ -97,7 +100,7 @@ class InvariantChecker {
 /// Wires checkers into a pipeline + engine. Lifecycle:
 ///
 ///   CheckHarness harness(sim, pipeline, &engine);
-///   harness.add_standard_checkers(...);
+///   harness.add_standard_checkers();
 ///   harness.start();          // installs observers + epoch timer
 ///   ... run the scenario, stop traffic, drain the simulator ...
 ///   harness.finish();         // quiescence checks
@@ -111,9 +114,16 @@ class CheckHarness final : public np::PipelineObserver {
                core::FlowValveEngine* engine);
   ~CheckHarness() override;
 
-  void add(std::unique_ptr<InvariantChecker> checker);
+  /// Register a checker and return it. The per-packet hooks it overrides
+  /// are read off its type, which must therefore be final: it joins each
+  /// such hook's list in registration order, and it gets every on_epoch
+  /// and on_finish. Hooks may fire before start() (tests call them
+  /// directly), so the lists are filled here.
+  template <class T>
+  T& add(std::unique_ptr<T> checker);
 
-  /// Install the full standard library of checkers (invariants.h).
+  /// Install the full standard library of checkers that apply to this
+  /// pipeline's config and engine (invariants.cpp).
   void add_standard_checkers();
 
   void start();
@@ -134,23 +144,59 @@ class CheckHarness final : public np::PipelineObserver {
   void on_delivered(const net::Packet& pkt, sim::SimTime now) override;
   void on_watchdog(const net::Packet& pkt, unsigned worker, std::uint64_t seq,
                    sim::SimTime now) override;
+  /// The engine's process observer, installed by start().
+  void on_engine_result(const net::Packet& pkt,
+                        const core::FlowValveEngine::Result& result,
+                        sim::SimTime now);
 
  private:
+  using Hooked = std::vector<InvariantChecker*>;
+
   SystemView view() const;
   /// Virtual-time monotonicity: every observed event, on any hook, must
   /// carry a timestamp >= the previous one (the simulator's core contract).
-  void observe_clock(sim::SimTime now);
+  void observe_clock(sim::SimTime now) {
+    if (now < last_event_time_) [[unlikely]] clock_went_backwards(now);
+    last_event_time_ = now;
+  }
+  void clock_went_backwards(sim::SimTime now);
 
   sim::Simulator& sim_;
   np::NicPipeline& pipeline_;
   core::FlowValveEngine* engine_;
   ViolationSink sink_;
   std::vector<std::unique_ptr<InvariantChecker>> checkers_;
+  // One list per per-packet hook: the checkers whose type overrides it.
+  struct {
+    Hooked submit, dispatch, drop, wire_tx, delivered, engine_result, watchdog;
+  } hooked_;
   std::unique_ptr<sim::PeriodicTimer> epoch_timer_;
   sim::SimTime last_event_time_ = 0;
   std::uint64_t delivered_ = 0;
   bool started_ = false;
   bool finished_ = false;
 };
+
+template <class T>
+T& CheckHarness::add(std::unique_ptr<T> checker) {
+  static_assert(std::is_base_of_v<InvariantChecker, T> && std::is_final_v<T>,
+                "hook lists are read off the checker's type, so it must be final");
+  T& c = *checker;
+  c.sink_ = &sink_;
+  checkers_.push_back(std::move(checker));
+  // &T::on_x names InvariantChecker's empty default unless T overrides it.
+  const auto route = [&c]<class Mine, class Default>(Mine, Default, Hooked& list) {
+    if constexpr (!std::is_same_v<Mine, Default>) list.push_back(&c);
+  };
+  using I = InvariantChecker;
+  route(&T::on_submit, &I::on_submit, hooked_.submit);
+  route(&T::on_dispatch, &I::on_dispatch, hooked_.dispatch);
+  route(&T::on_drop, &I::on_drop, hooked_.drop);
+  route(&T::on_wire_tx, &I::on_wire_tx, hooked_.wire_tx);
+  route(&T::on_delivered, &I::on_delivered, hooked_.delivered);
+  route(&T::on_engine_result, &I::on_engine_result, hooked_.engine_result);
+  route(&T::on_watchdog, &I::on_watchdog, hooked_.watchdog);
+  return c;
+}
 
 }  // namespace flowvalve::check

@@ -1,11 +1,38 @@
-#include "check/invariants.h"
-
+// The standard library of invariant checkers (paper-derived correctness
+// properties), installed by CheckHarness::add_standard_checkers(). Each
+// checker is independent and cheap enough to run on every fuzz scenario;
+// together they cover:
+//
+//   conservation        submitted == wire + vf/scheduler/tx drops (+in
+//                       flight while running, exactly 0 of it at drain)
+//   ordering            per-VF FIFO delivery and per-flow sequence order
+//                       through the reorder system (Fig. 4)
+//   timestamps          packet lifecycle timestamps are monotone, the
+//                       fixed pipeline delay is honored exactly, and no
+//                       frame is reported on the wire or delivered early
+//   wire-conformance    cumulative wire bytes never exceed line rate —
+//                       the shared FIFO's drain is the paper's F0 budget
+//   worker-exclusivity  run-to-completion busy intervals of one micro-
+//                       engine never overlap; processed counts reconcile
+//   tree-arithmetic     θ ∈ [0, ceil], per-priority-level sibling θ sums
+//                       bounded by the parent budget (+ the level's
+//                       guarantee reservations, which move between the
+//                       siblings' staggered update instants), bucket levels
+//                       within [0, capacity], lendable ≤ θ (Eq. 4-6)
+//   ceil-conformance    per-leaf non-borrowed (own-bucket) bytes respect
+//                       rate+burst over every prefix window (token-bucket
+//                       conformance, Eq. 1)
+//   cache-coherence     every EMC hit returns exactly the label a fresh
+//                       rule walk would assign right now — across poison,
+//                       label-epoch bumps, cuckoo kicks/evictions, and
+//                       degraded-mode transitions — and the cuckoo table's
+//                       occupancy books balance at every epoch
 #include <algorithm>
 #include <deque>
-#include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "check/checker.h"
 #include "core/sched_tree.h"
 
 namespace flowvalve::check {
@@ -112,66 +139,75 @@ class ConservationChecker final : public InvariantChecker {
 /// In-order delivery through the reorder system: with enforce_reorder on,
 /// packets entering on one VF ring leave the NIC in submission order (drops
 /// may punch holes but never permute survivors), and each flow's
-/// seq_in_flow is strictly increasing at the receiver.
+/// seq_in_flow is strictly increasing at the receiver. Without the reorder
+/// system a VF's packets may leave out of order, and flows never span VFs
+/// in our sources, so neither check holds then: the checker is registered
+/// only with the reorder system on.
 class OrderingChecker final : public InvariantChecker {
  public:
-  explicit OrderingChecker(bool enforce_reorder) : enabled_(enforce_reorder) {}
+  explicit OrderingChecker(unsigned num_vfs) : per_vf_(num_vfs) {}
 
   std::string_view name() const override { return "ordering"; }
 
   void on_submit(const net::Packet& pkt, sim::SimTime) override {
-    if (!enabled_) return;
-    per_vf_[pkt.vf_port].push_back(pkt.id);
+    fifo(pkt.vf_port).push_back(pkt.id);
   }
 
   void on_drop(const net::Packet& pkt, np::DropReason, sim::SimTime) override {
-    if (!enabled_) return;
-    dropped_.insert(pkt.id);
+    if (pkt.id >= dropped_.size()) dropped_.resize(pkt.id + 1);
+    dropped_[pkt.id] = true;
   }
 
   void on_delivered(const net::Packet& pkt, sim::SimTime now) override {
-    // Per-flow strict sequence order holds regardless of the reorder system
-    // only per VF ring; flows never span VFs in our sources, so gate both
-    // checks on the reorder system being active.
-    if (!enabled_) return;
-    if (auto it = last_seq_.find(pkt.flow_id); it != last_seq_.end()) {
+    if (auto [it, first] = last_seq_.try_emplace(pkt.flow_id, pkt.seq_in_flow);
+        !first) {
       if (pkt.seq_in_flow <= it->second)
         fail(now, "flow " + fmt_u64(pkt.flow_id) + " delivered seq " +
                       fmt_u64(pkt.seq_in_flow) + " after seq " +
                       fmt_u64(it->second));
       it->second = pkt.seq_in_flow;
-    } else {
-      last_seq_.emplace(pkt.flow_id, pkt.seq_in_flow);
     }
 
-    auto& q = per_vf_[pkt.vf_port];
+    auto& q = fifo(pkt.vf_port);
     while (!q.empty() && q.front() != pkt.id) {
       // Consume the overtaken entry either way so each skipped live packet
       // is reported exactly once instead of on every later delivery (which
       // would drown the sink's cap and mask other checkers' violations).
-      if (dropped_.erase(q.front()) == 0)
+      if (!take_dropped(q.front()))
         fail(now, "vf " + std::to_string(pkt.vf_port) + ": packet " +
                       fmt_u64(pkt.id) + " delivered ahead of live packet " +
                       fmt_u64(q.front()));
       q.pop_front();
     }
-    if (!q.empty() && q.front() == pkt.id) q.pop_front();
+    if (!q.empty()) q.pop_front();  // the delivered packet itself
   }
 
   void on_finish(const SystemView&, sim::SimTime now) override {
-    if (!enabled_) return;
-    for (auto& [vf, q] : per_vf_)
-      for (std::uint64_t id : q)
-        if (dropped_.erase(id) == 0)
+    for (std::size_t vf = 0; vf < per_vf_.size(); ++vf)
+      for (std::uint64_t id : per_vf_[vf])
+        if (!take_dropped(id))
           fail(now, "vf " + std::to_string(vf) + ": packet " + fmt_u64(id) +
                         " neither delivered nor dropped");
   }
 
  private:
-  bool enabled_;
-  std::unordered_map<std::uint16_t, std::deque<std::uint64_t>> per_vf_;
-  std::unordered_set<std::uint64_t> dropped_;
-  std::unordered_map<std::uint32_t, std::uint64_t> last_seq_;
+  /// The FIFO of `vf`; a port at or beyond num_vfs gets its own FIFO too.
+  std::deque<std::uint64_t>& fifo(std::uint16_t vf) {
+    if (vf >= per_vf_.size()) per_vf_.resize(vf + 1);
+    return per_vf_[vf];
+  }
+
+  /// Whether packet `id` was dropped; forgets the drop, so it counts once.
+  bool take_dropped(std::uint64_t id) {
+    if (id >= dropped_.size() || !dropped_[id]) return false;
+    dropped_[id] = false;
+    return true;
+  }
+
+  std::vector<std::deque<std::uint64_t>> per_vf_;  // by vf_port
+  // By packet id: IdAllocator hands ids out densely from 1 per scenario.
+  std::vector<bool> dropped_;
+  std::unordered_map<std::uint32_t, std::uint64_t> last_seq_;  // by flow id
 };
 
 // ------------------------------------------------------------ timestamps --
@@ -450,7 +486,6 @@ class CacheCoherenceChecker final : public InvariantChecker {
                         const core::FlowValveEngine::Result& r,
                         sim::SimTime now) override {
     if (!r.cache_hit || engine_ == nullptr || !engine_->ready()) return;
-    ++hits_checked_;
     const net::ClassLabelId walked =
         engine_->classifier().rule_walk_label(pkt.vf_port, pkt.tuple);
     if (pkt.label != walked)
@@ -484,21 +519,20 @@ class CacheCoherenceChecker final : public InvariantChecker {
 
  private:
   core::FlowValveEngine* engine_;
-  std::uint64_t hits_checked_ = 0;
   std::uint64_t audited_stamp_ = ~std::uint64_t{0};  // none audited yet
 };
 
 }  // namespace
 
-std::vector<std::unique_ptr<InvariantChecker>> standard_checkers(
-    const np::NpConfig& config, core::FlowValveEngine* engine) {
-  std::vector<std::unique_ptr<InvariantChecker>> out;
-  out.push_back(std::make_unique<ConservationChecker>());
-  out.push_back(std::make_unique<OrderingChecker>(config.enforce_reorder));
-  out.push_back(std::make_unique<TimestampChecker>(config.fixed_pipeline_delay));
-  out.push_back(std::make_unique<WireConformanceChecker>(config.wire_rate));
-  out.push_back(std::make_unique<WorkerExclusivityChecker>());
-  out.push_back(std::make_unique<TreeArithmeticChecker>());
+void CheckHarness::add_standard_checkers() {
+  const np::NpConfig& config = pipeline_.config();
+  add(std::make_unique<ConservationChecker>());
+  if (config.enforce_reorder)
+    add(std::make_unique<OrderingChecker>(config.num_vfs));
+  add(std::make_unique<TimestampChecker>(config.fixed_pipeline_delay));
+  add(std::make_unique<WireConformanceChecker>(config.wire_rate));
+  add(std::make_unique<WorkerExclusivityChecker>());
+  add(std::make_unique<TreeArithmeticChecker>());
   // Ceil conformance is the one FlowValve-specific checker: it restates
   // token-bucket conformance (Eq. 1) over the leaf's own bucket. Rank
   // backends bound a class by its live theta (<= ceil) instead of a
@@ -506,12 +540,10 @@ std::vector<std::unique_ptr<InvariantChecker>> standard_checkers(
   // mechanism; every other checker above is discipline-generic (see
   // DESIGN.md par.13).
   if (config.backend == core::BackendKind::kFlowValve)
-    out.push_back(std::make_unique<CeilConformanceChecker>());
+    add(std::make_unique<CeilConformanceChecker>());
   // Cache coherence replays rule walks against the live classifier, so it
   // needs the engine; harnesses without one (pipeline-only runs) skip it.
-  if (engine != nullptr)
-    out.push_back(std::make_unique<CacheCoherenceChecker>(engine));
-  return out;
+  if (engine_ != nullptr) add(std::make_unique<CacheCoherenceChecker>(engine_));
 }
 
 }  // namespace flowvalve::check

@@ -17,6 +17,7 @@
 #include "np/flowvalve_processor.h"
 #include "obs/reconfig_tracker.h"
 #include "obs/recovery_tracker.h"
+#include "sim/fnv.h"
 #include "traffic/churn.h"
 #include "traffic/generators.h"
 #include "traffic/tcp.h"
@@ -206,12 +207,9 @@ CheckReport run_scenario(const FuzzScenario& sc, const RunOptions& opts) {
   CheckHarness harness(sim, pipeline, &engine);
   harness.add_standard_checkers();
   ShareCollector* collector = nullptr;
-  if (opts.differential) {
-    auto c = std::make_unique<ShareCollector>(sc.leaves.size(),
-                                              differential_warmup(sc));
-    collector = c.get();
-    harness.add(std::move(c));
-  }
+  if (opts.differential)
+    collector = &harness.add(std::make_unique<ShareCollector>(
+        sc.leaves.size(), differential_warmup(sc)));
 
   // Live reconfiguration: manager + its invariant checkers + a seed-derived
   // submission plan (and usually one control-plane fault riding the plane).
@@ -264,9 +262,7 @@ CheckReport run_scenario(const FuzzScenario& sc, const RunOptions& opts) {
       so.horizon = sc.horizon;
       if (fair_plan_valid && so.quiet_at < sc.horizon)
         so.expected_fractions = expected_vf_fractions(sc);
-      auto c = std::make_unique<RecoverySloChecker>(&tracker, so);
-      slo = c.get();
-      harness.add(std::move(c));
+      slo = &harness.add(std::make_unique<RecoverySloChecker>(&tracker, so));
     }
   }
 
@@ -498,15 +494,13 @@ std::string report_fingerprint(const CheckReport& r) {
 std::uint64_t corpus_digest(const std::vector<SeedOutcome>& outcomes) {
   // FNV-1a over each fingerprint plus a record separator, so moving bytes
   // across a seed boundary changes the digest.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto absorb = [&h](const std::string& bytes) {
-    for (unsigned char c : bytes) h = (h ^ c) * 0x100000001b3ULL;
-    h = (h ^ 0x1eU) * 0x100000001b3ULL;
-  };
-  for (const SeedOutcome& o : outcomes)
-    absorb(o.crashed ? "crash|" + std::to_string(o.seed) + '|' + o.crash_what
-                     : report_fingerprint(o.report));
-  return h;
+  sim::Fnv1a h;
+  for (const SeedOutcome& o : outcomes) {
+    h.bytes(o.crashed ? "crash|" + std::to_string(o.seed) + '|' + o.crash_what
+                      : report_fingerprint(o.report));
+    h.byte(0x1e);
+  }
+  return h.value();
 }
 
 std::vector<SeedOutcome> run_corpus_with(

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <cstddef>
+#include <cstring>
 #include <new>
 
 #include <sys/mman.h>
@@ -495,8 +496,35 @@ std::size_t ExactMatchFlowCache::fault_churn_storm(std::uint64_t seed, std::size
 
 std::array<std::uint64_t, ExactMatchFlowCache::kSlots + 1>
 ExactMatchFlowCache::occupancy_histogram() const {
+  // Eight masks per word: an all-zero word is eight empty buckets for one
+  // compare, and any other word is counted in registers. Every mask is
+  // still read, so the count never leans on live_.
+  constexpr std::uint64_t kOnes = 0x0101010101010101ULL;  // 1 in each byte
+  constexpr std::uint64_t kLow7 = 0x7F * kOnes;
   std::array<std::uint64_t, kSlots + 1> hist{};
-  for (const std::uint8_t mask : valid_) ++hist[std::popcount(mask)];
+  const std::uint8_t* masks = valid_.data();
+  const std::size_t n = valid_.size();
+  std::size_t i = 0;
+  for (; i + sizeof(std::uint64_t) <= n; i += sizeof(std::uint64_t)) {
+    std::uint64_t w;
+    std::memcpy(&w, masks + i, sizeof w);
+    if (w == 0) {
+      hist[0] += sizeof w;
+      continue;
+    }
+    // Each byte's popcount in place, then per count the bytes holding it:
+    // `zero` has bit 7 set in exactly the bytes of `y` that are zero, and
+    // the multiply sums those bits into the top byte.
+    w -= (w >> 1) & (0x55 * kOnes);
+    w = (w & (0x33 * kOnes)) + ((w >> 2) & (0x33 * kOnes));
+    w = (w + (w >> 4)) & (0x0F * kOnes);
+    for (std::uint64_t k = 0; k <= kSlots; ++k) {
+      const std::uint64_t y = w ^ (k * kOnes);
+      const std::uint64_t zero = ~(((y & kLow7) + kLow7) | y) & ~kLow7;
+      hist[k] += ((zero >> 7) * kOnes) >> 56;
+    }
+  }
+  for (; i < n; ++i) ++hist[std::popcount(masks[i])];
   return hist;
 }
 

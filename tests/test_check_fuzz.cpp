@@ -5,6 +5,12 @@
 // worthless).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "check/checker.h"
 #include "check/fuzzer.h"
 #include "check/runner.h"
@@ -198,6 +204,226 @@ TEST(FuzzCheck, TimestampsFlagFramesReportedEarly) {
   EXPECT_EQ(timestamp_violations(), 1u);
   harness.on_delivered(pkt, pkt.delivered_at - 1);
   EXPECT_EQ(timestamp_violations(), 2u);
+}
+
+// ------------------------------------------------------------ hook routing --
+
+// Three checkers that append "<checker>:<hook>" to one log for every hook
+// they override: every hook, only on_wire_tx and on_epoch, and no
+// per-packet hook (only on_epoch and on_finish, which every checker gets).
+using CallLog = std::vector<std::string>;
+
+class EveryHook final : public InvariantChecker {
+ public:
+  explicit EveryHook(CallLog& log) : log_(log) {}
+  std::string_view name() const override { return "every"; }
+  void on_submit(const net::Packet&, sim::SimTime) override { note("submit"); }
+  void on_dispatch(const net::Packet&, unsigned, std::uint64_t, sim::SimTime,
+                   sim::SimDuration) override {
+    note("dispatch");
+  }
+  void on_drop(const net::Packet&, np::DropReason, sim::SimTime) override {
+    note("drop");
+  }
+  void on_wire_tx(const net::Packet&, sim::SimTime) override { note("wire_tx"); }
+  void on_delivered(const net::Packet&, sim::SimTime) override {
+    note("delivered");
+  }
+  void on_engine_result(const net::Packet&, const core::FlowValveEngine::Result&,
+                        sim::SimTime) override {
+    note("engine_result");
+  }
+  void on_watchdog(const net::Packet&, unsigned, std::uint64_t,
+                   sim::SimTime) override {
+    note("watchdog");
+  }
+  void on_epoch(const SystemView&, sim::SimTime) override { note("epoch"); }
+  void on_finish(const SystemView&, sim::SimTime) override { note("finish"); }
+
+ private:
+  void note(const char* hook) { log_.push_back(std::string("every:") + hook); }
+  CallLog& log_;
+};
+
+class WireAndEpoch final : public InvariantChecker {
+ public:
+  explicit WireAndEpoch(CallLog& log) : log_(log) {}
+  std::string_view name() const override { return "wire+epoch"; }
+  void on_wire_tx(const net::Packet&, sim::SimTime) override {
+    log_.push_back("wire+epoch:wire_tx");
+  }
+  void on_epoch(const SystemView&, sim::SimTime) override {
+    log_.push_back("wire+epoch:epoch");
+  }
+
+ private:
+  CallLog& log_;
+};
+
+class NoPacketHook final : public InvariantChecker {
+ public:
+  explicit NoPacketHook(CallLog& log) : log_(log) {}
+  std::string_view name() const override { return "quiet"; }
+  void on_epoch(const SystemView&, sim::SimTime) override {
+    log_.push_back("quiet:epoch");
+  }
+  void on_finish(const SystemView&, sim::SimTime) override {
+    log_.push_back("quiet:finish");
+  }
+
+ private:
+  CallLog& log_;
+};
+
+// The harness hands each per-packet hook only to the checkers whose type
+// overrides it, in registration order, whether the hook fires before or
+// after start(); on_epoch and on_finish reach every checker.
+TEST(FuzzCheck, HooksReachExactlyTheOverridingCheckersInOrder) {
+  sim::Simulator sim;
+  np::NullProcessor proc;
+  np::NicPipeline pipeline(sim, np::NpConfig{}, proc);
+  CheckHarness harness(sim, pipeline, nullptr);
+  CallLog log;
+  harness.add(std::make_unique<WireAndEpoch>(log));
+  harness.add(std::make_unique<NoPacketHook>(log));
+  harness.add(std::make_unique<EveryHook>(log));
+
+  const net::Packet pkt;
+  const auto fire_each_hook = [&](sim::SimTime now) {
+    harness.on_submit(pkt, now);
+    harness.on_dispatch(pkt, 0, 0, now, 0);
+    harness.on_drop(pkt, np::DropReason::kScheduler, now);
+    harness.on_wire_tx(pkt, now);
+    harness.on_delivered(pkt, now);
+    harness.on_engine_result(pkt, core::FlowValveEngine::Result{}, now);
+    harness.on_watchdog(pkt, 0, 0, now);
+    return std::exchange(log, {});
+  };
+  const CallLog per_packet = {"every:submit",        "every:dispatch",
+                              "every:drop",          "wire+epoch:wire_tx",
+                              "every:wire_tx",       "every:delivered",
+                              "every:engine_result", "every:watchdog"};
+  EXPECT_EQ(fire_each_hook(0), per_packet);
+
+  harness.start();
+  sim.run_until(CheckHarness::kEpoch);
+  EXPECT_EQ(std::exchange(log, {}),
+            (CallLog{"wire+epoch:epoch", "quiet:epoch", "every:epoch"}));
+  EXPECT_EQ(fire_each_hook(CheckHarness::kEpoch), per_packet);
+
+  harness.finish();
+  EXPECT_EQ(log, (CallLog{"wire+epoch:epoch", "quiet:epoch", "quiet:finish",
+                          "every:epoch", "every:finish"}));
+  EXPECT_TRUE(harness.sink().clean());
+}
+
+// ---------------------------------------------------------------- ordering --
+
+/// A harness with the standard checkers on a NullProcessor pipeline (reorder
+/// on, 8 VFs) whose hooks the test fires by hand; `ordering()` lists the
+/// ordering checker's violation texts.
+struct OrderingBench {
+  sim::Simulator sim;
+  np::NullProcessor proc;
+  np::NicPipeline pipeline{sim, np::NpConfig{}, proc};
+  CheckHarness harness{sim, pipeline, nullptr};
+  sim::SimTime now = 0;
+
+  OrderingBench() { harness.add_standard_checkers(); }
+
+  static net::Packet packet(std::uint64_t id, std::uint16_t vf,
+                            std::uint32_t flow, std::uint64_t seq) {
+    net::Packet pkt;
+    pkt.id = id;
+    pkt.vf_port = vf;
+    pkt.flow_id = flow;
+    pkt.seq_in_flow = seq;
+    return pkt;
+  }
+  void submit(const net::Packet& pkt) { harness.on_submit(pkt, ++now); }
+  void drop(const net::Packet& pkt) {
+    harness.on_drop(pkt, np::DropReason::kTxRingFull, ++now);
+  }
+  void deliver(const net::Packet& pkt) { harness.on_delivered(pkt, ++now); }
+
+  std::vector<std::string> ordering() const {
+    std::vector<std::string> out;
+    for (const Violation& v : harness.sink().violations())
+      if (v.checker == "ordering") out.push_back(v.detail);
+    return out;
+  }
+};
+
+TEST(OrderingChecker, FlagsAPacketDeliveredAheadOfALiveOne) {
+  OrderingBench b;
+  const net::Packet first = OrderingBench::packet(1, 3, 1, 0);
+  const net::Packet second = OrderingBench::packet(2, 3, 2, 0);
+  b.submit(first);
+  b.submit(second);
+  b.deliver(second);
+  EXPECT_EQ(b.ordering(), std::vector<std::string>{
+                              "vf 3: packet 2 delivered ahead of live packet 1"});
+  // The overtaken packet was consumed with its report: delivering it late
+  // raises nothing more.
+  b.deliver(first);
+  EXPECT_EQ(b.ordering().size(), 1u);
+}
+
+TEST(OrderingChecker, SkipsADroppedPacketCleanly) {
+  OrderingBench b;
+  const net::Packet first = OrderingBench::packet(1, 5, 1, 0);
+  const net::Packet second = OrderingBench::packet(2, 5, 1, 1);
+  b.submit(first);
+  b.submit(second);
+  b.drop(first);
+  b.deliver(second);
+  b.harness.finish();
+  EXPECT_TRUE(b.ordering().empty());
+}
+
+TEST(OrderingChecker, FlagsAPerFlowSequenceRegression) {
+  OrderingBench b;
+  // Two VFs, so the per-VF FIFOs stay in order and only the flow's
+  // sequence runs backwards.
+  const net::Packet later = OrderingBench::packet(1, 0, 9, 5);
+  const net::Packet earlier = OrderingBench::packet(2, 1, 9, 3);
+  b.submit(later);
+  b.submit(earlier);
+  b.deliver(later);
+  b.deliver(earlier);
+  EXPECT_EQ(b.ordering(),
+            std::vector<std::string>{"flow 9 delivered seq 3 after seq 5"});
+}
+
+TEST(OrderingChecker, TracksPortsAtOrBeyondTheVfCount) {
+  OrderingBench b;
+  const unsigned vfs = b.pipeline.config().num_vfs;
+  const auto at = static_cast<std::uint16_t>(vfs);
+  const auto beyond = static_cast<std::uint16_t>(vfs + 200);
+  b.submit(OrderingBench::packet(1, at, 1, 0));
+  b.submit(OrderingBench::packet(2, beyond, 2, 0));
+  b.submit(OrderingBench::packet(3, at, 3, 0));
+  b.deliver(OrderingBench::packet(2, beyond, 2, 0));
+  b.deliver(OrderingBench::packet(3, at, 3, 0));
+  EXPECT_EQ(b.ordering(),
+            std::vector<std::string>{"vf " + std::to_string(at) +
+                                     ": packet 3 delivered ahead of live packet 1"});
+}
+
+TEST(OrderingChecker, FlagsPacketsNeitherDeliveredNorDroppedAtFinish) {
+  OrderingBench b;
+  b.submit(OrderingBench::packet(1, 2, 1, 0));
+  b.submit(OrderingBench::packet(2, 6, 2, 0));
+  b.submit(OrderingBench::packet(3, 2, 1, 1));
+  b.submit(OrderingBench::packet(4, 6, 2, 1));
+  b.drop(OrderingBench::packet(4, 6, 2, 1));
+  b.harness.finish();
+  std::vector<std::string> got = b.ordering();
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, (std::vector<std::string>{
+                     "vf 2: packet 1 neither delivered nor dropped",
+                     "vf 2: packet 3 neither delivered nor dropped",
+                     "vf 6: packet 2 neither delivered nor dropped"}));
 }
 
 }  // namespace
