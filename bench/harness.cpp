@@ -1,34 +1,30 @@
 #include "harness.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
 
 #include "obs/export.h"
+#include "sim/parse_uint.h"
 
 namespace flowvalve::bench {
 
 namespace {
 
-/// `s` as a --jobs count: decimal or 0x-hex digits only (no sign, no
-/// blanks, no trailing junk) that fit an unsigned. Exits 2 otherwise.
+/// `s` as a --jobs count (sim::parse_uint) that fits an unsigned. Exits 2
+/// otherwise.
 unsigned parse_jobs(const char* program, const char* s) {
-  char* end = nullptr;
-  errno = 0;
-  const bool digit = std::isdigit(static_cast<unsigned char>(s[0])) != 0;
-  const unsigned long long v = digit ? std::strtoull(s, &end, 0) : 0;
-  if (!digit || *end != '\0' || errno == ERANGE ||
-      v > std::numeric_limits<unsigned>::max()) {
+  const auto v = sim::parse_uint(s, std::numeric_limits<unsigned>::max());
+  if (!v) {
     std::cerr << program << ": --jobs wants an unsigned integer no larger than "
               << std::numeric_limits<unsigned>::max() << ", got '" << s
               << "'\n";
     std::exit(2);
   }
-  return static_cast<unsigned>(v);
+  return static_cast<unsigned>(*v);
 }
 
 }  // namespace

@@ -175,7 +175,7 @@ BENCHMARK(BM_RngNextU64);
 
 // ---- appended: PIFO vs Eiffel-style bucket queue --------------------------
 
-#include "baseline/bucket_queue.h"
+#include "core/bucket_queue.h"
 #include "baseline/pifo.h"
 
 namespace {
@@ -198,7 +198,7 @@ BENCHMARK(BM_MultisetPifoChurn);
 
 void BM_BucketQueueChurn(benchmark::State& state) {
   // Eiffel-style FFS bucket queue on the same workload (quantized ranks).
-  baseline::BucketQueue<std::uint64_t> q(4096);
+  core::BucketQueue<std::uint64_t> q(4096);
   sim::Rng rng(3);
   std::uint64_t seq = 0;
   for (int i = 0; i < 1024; ++i)

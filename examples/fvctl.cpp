@@ -30,6 +30,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -45,6 +46,7 @@
 #include "obs/export.h"
 #include "obs/json_writer.h"
 #include "obs/reconfig_tracker.h"
+#include "sim/parse_uint.h"
 #include "sim/simulator.h"
 #include "stats/series_export.h"
 #include "traffic/app.h"
@@ -67,6 +69,34 @@ struct Args {
   std::uint64_t seed = 42;
   std::string csv_path;
 };
+
+/// Bounds on the double-valued flags. The throughput table has ten rows of
+/// seconds/10 each, so a run shorter than 10 ns would make a zero-width
+/// row. 1e9 s (and 1e9 Gbps) keeps every instant and rate finite and well
+/// inside SimTime's range, with room for the delays a run adds past them.
+/// The wire floor is the 1 kbit/s the paced senders put on any rate; far
+/// below it, one frame's serialization time overflows SimTime.
+constexpr double kMinSeconds = 1e-8;
+constexpr double kMaxSeconds = 1e9;
+constexpr double kMinWireGbps = 1e-6;
+constexpr double kMaxWireGbps = 1e9;
+
+/// `s` as a finite double in [lo, hi] with nothing after it.
+bool parse_double(const char* s, double lo, double hi, double* out) {
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || !(v >= lo && v <= hi)) return false;
+  *out = v;
+  return true;
+}
+
+/// `s` as an unsigned integer that fits `T` (sim::parse_uint).
+template <class T>
+bool parse_count(const char* s, T* out) {
+  const auto v = sim::parse_uint(s, std::numeric_limits<T>::max());
+  if (v) *out = static_cast<T>(*v);
+  return v.has_value();
+}
 
 bool parse_args(int argc, char** argv, Args* out) {
   int i = 1;
@@ -91,19 +121,22 @@ bool parse_args(int argc, char** argv, Args* out) {
     if (i >= argc || argv[i][0] == '-') return false;
     out->update_path = argv[i++];
   }
-  for (; i + 1 < argc; i += 2) {
+  for (; i < argc; i += 2) {
+    if (i + 1 >= argc) return false;  // a flag without its value
     const std::string key = argv[i];
     const char* val = argv[i + 1];
-    if (key == "--apps") out->apps = static_cast<unsigned>(std::atoi(val));
-    else if (key == "--seconds") out->seconds = std::atof(val);
-    else if (key == "--conns") out->conns = static_cast<unsigned>(std::atoi(val));
-    else if (key == "--wire") out->wire_gbps = std::atof(val);
-    else if (key == "--seed") out->seed = std::strtoull(val, nullptr, 10);
+    bool ok = true;
+    if (key == "--apps") ok = parse_count(val, &out->apps) && out->apps > 0;
+    else if (key == "--seconds") ok = parse_double(val, kMinSeconds, kMaxSeconds, &out->seconds);
+    else if (key == "--conns") ok = parse_count(val, &out->conns);
+    else if (key == "--wire") ok = parse_double(val, kMinWireGbps, kMaxWireGbps, &out->wire_gbps);
+    else if (key == "--seed") ok = parse_count(val, &out->seed);
     else if (key == "--csv") out->csv_path = val;
-    else if (key == "--at-ms") out->at_ms = std::atof(val);
-    else return false;
+    else if (key == "--at-ms") ok = parse_double(val, 0.0, kMaxSeconds * 1e3, &out->at_ms);
+    else ok = false;
+    if (!ok) return false;
   }
-  return out->apps > 0 && out->seconds > 0;
+  return true;
 }
 
 bool read_file(const std::string& path, std::string* out) {

@@ -17,7 +17,6 @@
 #include "net/device.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
-#include "stats/stats.h"
 
 namespace flowvalve::baseline {
 

@@ -100,8 +100,6 @@ bool HtbQdisc::enqueue(net::Packet pkt, SimTime now) {
     return false;
   }
   pkt.nic_arrival = now;
-  c.queue_bytes += pkt.wire_bytes;
-  total_backlog_bytes_ += pkt.wire_bytes;
   ++total_backlog_pkts_;
   c.queue.push_back(std::move(pkt));
   return true;
@@ -162,8 +160,6 @@ std::optional<net::Packet> HtbQdisc::dequeue(SimTime now) {
     if (lender >= 0 && !allow_borrow) return std::nullopt;
     net::Packet pkt = std::move(c.queue.front());
     c.queue.pop_front();
-    c.queue_bytes -= pkt.wire_bytes;
-    total_backlog_bytes_ -= pkt.wire_bytes;
     --total_backlog_pkts_;
     charge(c, lender, pkt.wire_bytes);
     ++c.stats.deq_packets;
@@ -257,9 +253,6 @@ SimTime HtbQdisc::next_event(SimTime now) {
   }
   return earliest;
 }
-
-std::size_t HtbQdisc::backlog_packets() const { return total_backlog_pkts_; }
-std::uint64_t HtbQdisc::backlog_bytes() const { return total_backlog_bytes_; }
 
 const HtbQdisc::ClassStats& HtbQdisc::class_stats(const std::string& name) const {
   const int id = find_class(name);

@@ -23,6 +23,7 @@
 // idealized-HTB persona used in unit tests and the locking ablation.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <string>
@@ -79,8 +80,8 @@ class HtbQdisc final : public Qdisc {
   bool enqueue(net::Packet pkt, SimTime now) override;
   std::optional<net::Packet> dequeue(SimTime now) override;
   SimTime next_event(SimTime now) override;
-  std::size_t backlog_packets() const override;
-  std::uint64_t backlog_bytes() const override;
+  /// Packets queued across all leaves.
+  std::size_t backlog_packets() const { return total_backlog_pkts_; }
 
   /// Per-class counters for assertions/benches.
   struct ClassStats {
@@ -108,7 +109,6 @@ class HtbQdisc final : public Qdisc {
     SimTime t_last = 0;
 
     std::deque<net::Packet> queue;  // leaves only
-    std::uint64_t queue_bytes = 0;
     double deficit = 0.0;           // DRR
     ClassStats stats;
 
@@ -129,7 +129,6 @@ class HtbQdisc final : public Qdisc {
   std::function<std::string(const net::Packet&)> classify_;
   std::size_t rr_cursor_ = 0;  // DRR position over leaves
   std::uint64_t total_backlog_pkts_ = 0;
-  std::uint64_t total_backlog_bytes_ = 0;
 };
 
 }  // namespace flowvalve::baseline

@@ -60,7 +60,6 @@ class KernelHostDevice final : public net::EgressDevice {
     std::uint64_t wire_bytes = 0;
   };
   const Stats& stats() const { return stats_; }
-  Qdisc& qdisc() { return *root_; }
 
   /// CPU cores' busy fraction over [0, now]: index 0..sender_cores-1 are
   /// sender cores, the last entry is the softirq/xmit core.

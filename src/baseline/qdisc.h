@@ -3,14 +3,10 @@
 // exactly the structure FlowValve inverts.
 #pragma once
 
-#include <cstdint>
-#include <deque>
-#include <functional>
 #include <optional>
 
 #include "net/packet.h"
 #include "sim/time.h"
-#include "stats/stats.h"
 
 namespace flowvalve::baseline {
 
@@ -32,47 +28,6 @@ class Qdisc {
   /// Earliest time a dequeue might succeed when currently throttled;
   /// kSimTimeMax when empty, `now` when a packet is ready.
   virtual SimTime next_event(SimTime now) = 0;
-
-  virtual std::size_t backlog_packets() const = 0;
-  virtual std::uint64_t backlog_bytes() const = 0;
-};
-
-/// Tail-drop FIFO (pfifo): the default leaf discipline.
-class FifoQdisc final : public Qdisc {
- public:
-  explicit FifoQdisc(std::size_t limit_packets = 1000) : limit_(limit_packets) {}
-
-  bool enqueue(net::Packet pkt, SimTime) override {
-    if (q_.size() >= limit_) {
-      ++drops_;
-      return false;
-    }
-    bytes_ += pkt.wire_bytes;
-    q_.push_back(std::move(pkt));
-    return true;
-  }
-
-  std::optional<net::Packet> dequeue(SimTime) override {
-    if (q_.empty()) return std::nullopt;
-    net::Packet pkt = std::move(q_.front());
-    q_.pop_front();
-    bytes_ -= pkt.wire_bytes;
-    return pkt;
-  }
-
-  SimTime next_event(SimTime now) override {
-    return q_.empty() ? sim::kSimTimeMax : now;
-  }
-
-  std::size_t backlog_packets() const override { return q_.size(); }
-  std::uint64_t backlog_bytes() const override { return bytes_; }
-  std::uint64_t drops() const { return drops_; }
-
- private:
-  std::size_t limit_;
-  std::deque<net::Packet> q_;
-  std::uint64_t bytes_ = 0;
-  std::uint64_t drops_ = 0;
 };
 
 }  // namespace flowvalve::baseline

@@ -1,13 +1,11 @@
 #include "check/cli_options.h"
 
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 
 #include "core/scheduler_backend.h"
+#include "sim/parse_uint.h"
 
 namespace flowvalve::check {
 
@@ -16,24 +14,17 @@ namespace {
 /// --inject-fault's bug hits every this-many-th packet.
 constexpr std::uint64_t kInjectedFaultPeriod = 97;
 
-/// Parse `s` as the value of `flag`: decimal or 0x-prefixed hex digits and
-/// nothing else (no sign, no blanks, no trailing junk), at most `max`. On
-/// anything else names the flag on stderr and sets `bad`.
+/// `s` as the value of `flag` (sim::parse_uint), at most `max`. On anything
+/// else names the flag on stderr and sets `bad`.
 std::uint64_t parse_u64(const char* flag, const char* s, std::uint64_t max,
                         bool& bad) {
-  char* end = nullptr;
-  errno = 0;
-  const bool digit = std::isdigit(static_cast<unsigned char>(s[0])) != 0;
-  const unsigned long long v = digit ? std::strtoull(s, &end, 0) : 0;
-  if (!digit || *end != '\0' || errno == ERANGE || v > max) {
-    std::fprintf(stderr,
-                 "fuzz_check: %s wants an unsigned integer no larger than "
-                 "%llu, got '%s'\n",
-                 flag, static_cast<unsigned long long>(max), s);
-    bad = true;
-    return 0;
-  }
-  return v;
+  if (const auto v = sim::parse_uint(s, max)) return *v;
+  std::fprintf(stderr,
+               "fuzz_check: %s wants an unsigned integer no larger than "
+               "%llu, got '%s'\n",
+               flag, static_cast<unsigned long long>(max), s);
+  bad = true;
+  return 0;
 }
 
 }  // namespace

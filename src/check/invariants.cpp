@@ -365,29 +365,39 @@ class TreeArithmeticChecker final : public InvariantChecker {
       // its own update instant, so one level's total can transiently exceed
       // the parent budget by the guarantee reservations that moved between
       // those instants (reserved_rate ≤ guarantee) — but never by more.
-      std::unordered_map<unsigned, double> level_bps;
-      std::unordered_map<unsigned, double> level_slack;
+      levels_.clear();
       for (core::ClassId cid : c.children) {
         const core::SchedClass& child = tree.at(cid);
-        level_bps[child.policy.prio] += child.theta.bps();
-        if (child.policy.has_guarantee())
-          level_slack[child.policy.prio] += child.policy.guarantee.bps();
+        const unsigned prio = child.policy.prio;
+        auto it = std::lower_bound(
+            levels_.begin(), levels_.end(), prio,
+            [](const LevelSum& l, unsigned p) { return l.level < p; });
+        if (it == levels_.end() || it->level != prio)
+          it = levels_.insert(it, LevelSum{prio});
+        it->bps += child.theta.bps();
+        if (child.policy.has_guarantee()) it->slack += child.policy.guarantee.bps();
       }
-      for (const auto& [level, bps] : level_bps) {
-        const double budget =
-            (c.policy.ceil.bps() + level_slack[level]) * (1.0 + 1e-9) + 1.0;
-        if (bps > budget)
+      for (const LevelSum& l : levels_) {
+        const double budget = (c.policy.ceil.bps() + l.slack) * (1.0 + 1e-9) + 1.0;
+        if (l.bps > budget)
           fail(now, "children of '" + c.name + "' at prio " +
-                        std::to_string(level) + " sum to " +
-                        sim::Rate::bits_per_sec(bps).to_string() +
+                        std::to_string(l.level) + " sum to " +
+                        sim::Rate::bits_per_sec(l.bps).to_string() +
                         " > parent budget " + c.policy.ceil.to_string() +
                         " + guarantee slack " +
-                        sim::Rate::bits_per_sec(level_slack[level]).to_string());
+                        sim::Rate::bits_per_sec(l.slack).to_string());
       }
     }
   }
 
  private:
+  /// One priority level's sibling θ total and guarantee slack.
+  struct LevelSum {
+    unsigned level;
+    double bps = 0.0;
+    double slack = 0.0;
+  };
+
   void check_rate_bounds(const core::SchedClass& c, sim::SimTime now) {
     if (c.theta.bps() < 0.0)
       fail(now, "class '" + c.name + "' has negative θ " + c.theta.to_string());
@@ -411,6 +421,8 @@ class TreeArithmeticChecker final : public InvariantChecker {
                     std::to_string(b.tokens()) + " > " +
                     std::to_string(b.capacity()));
   }
+
+  std::vector<LevelSum> levels_;  // one parent's levels, ascending
 };
 
 // ------------------------------------------------------- ceil conformance --

@@ -3,9 +3,10 @@
 // Eiffel's observation: packet ranks need only limited precision, so a
 // priority queue can be an array of FIFO buckets plus a hierarchical bitmap
 // of non-empty buckets; find-min is one or two Find-First-Set instructions
-// instead of O(log n) heap churn. We implement the two-level bitmap variant
-// (64×64 = 4096 buckets) as a reusable container, benchmark it against the
-// std::multiset the PIFO comparator uses, and test the queue semantics.
+// instead of O(log n) heap churn. This is the two-level bitmap variant
+// (64×64 = 4096 buckets); EiffelBackend keeps its calendar in one, and
+// bench/micro_datastructures times it against the std::multiset the PIFO
+// comparator uses.
 #pragma once
 
 #include <algorithm>
@@ -15,7 +16,7 @@
 #include <optional>
 #include <vector>
 
-namespace flowvalve::baseline {
+namespace flowvalve::core {
 
 /// A min-priority queue over integer ranks in [0, num_buckets) with FIFO
 /// order inside a bucket. O(1) push; find-min via two FFS ops.
@@ -78,32 +79,6 @@ class BucketQueue {
     return value;
   }
 
-  /// Pop from the *maximum* occupied rank (push-out victim selection).
-  std::optional<T> pop_max() {
-    if (root_ == 0) return std::nullopt;
-    const auto w =
-        kWordBits - 1 - static_cast<std::size_t>(std::countl_zero(root_));
-    const auto b =
-        kWordBits - 1 - static_cast<std::size_t>(std::countl_zero(words_[w]));
-    const std::size_t rank = w * kWordBits + b;
-    auto& bucket = buckets_[rank];
-    T value = std::move(bucket.back());
-    bucket.pop_back();
-    --size_;
-    if (bucket.empty()) {
-      words_[w] &= ~(1ull << b);
-      if (words_[w] == 0) root_ &= ~(1ull << w);
-    }
-    return value;
-  }
-
-  void clear() {
-    for (auto& b : buckets_) b.clear();
-    std::fill(words_.begin(), words_.end(), 0);
-    root_ = 0;
-    size_ = 0;
-  }
-
  private:
   std::size_t num_buckets_;
   std::vector<std::deque<T>> buckets_;
@@ -112,4 +87,4 @@ class BucketQueue {
   std::size_t size_ = 0;
 };
 
-}  // namespace flowvalve::baseline
+}  // namespace flowvalve::core

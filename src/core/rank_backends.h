@@ -31,7 +31,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "baseline/bucket_queue.h"
+#include "core/bucket_queue.h"
 #include "core/scheduler_backend.h"
 
 namespace flowvalve::core {
@@ -86,7 +86,7 @@ class EiffelBackend final : public StfqBackend {
   void drain_calendar();
   void rebase_calendar();
 
-  baseline::BucketQueue<ClassId> calendar_{kWheelBuckets};
+  BucketQueue<ClassId> calendar_{kWheelBuckets};
   double cal_base_ = 0.0;   // virtual-byte origin of bucket 0
   double quantum_ = 0.0;    // virtual bytes per bucket (sized lazily)
 };

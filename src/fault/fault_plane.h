@@ -56,8 +56,6 @@ class FaultPlane {
   /// call after the simulation drains.
   void finalize();
 
-  std::size_t armed_events() const { return active_.size(); }
-
  private:
   struct Counters {
     std::uint64_t watchdog_drops = 0;

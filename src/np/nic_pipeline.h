@@ -27,7 +27,6 @@
 #include "np/np_config.h"
 #include "sim/fixed_ring.h"
 #include "sim/simulator.h"
-#include "stats/stats.h"
 
 namespace flowvalve::np {
 

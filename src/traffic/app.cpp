@@ -48,13 +48,6 @@ void AppProcess::set_connections(unsigned n) {
   }
 }
 
-Rate AppProcess::total_send_rate() const {
-  Rate total = Rate::zero();
-  for (const auto& f : flows_)
-    if (f->active()) total += f->current_rate();
-  return total;
-}
-
 std::uint64_t AppProcess::packets_sent() const {
   std::uint64_t n = 0;
   for (const auto& f : flows_) n += f->packets_sent();

@@ -46,7 +46,6 @@ class AppProcess {
   bool active() const { return active_; }
   std::size_t connections() const { return flows_.size(); }
 
-  Rate total_send_rate() const;
   std::uint64_t packets_sent() const;
   std::uint64_t packets_lost() const;
 

@@ -8,7 +8,10 @@
 //
 // TcpRenoFlow — a window-based NewReno-style sender (slow start, congestion
 // avoidance, fast recovery) for tests that need genuine ack-clocked
-// dynamics.
+// dynamics. No bench or scenario builds one, yet it stays: the paper drove
+// its hosts with iperf3, a window-based sender, and the two
+// test_integration_reno cases are the only check that FlowValve's shares
+// hold under ack clocking rather than the rate-paced TcpAimdFlow.
 #pragma once
 
 #include <memory>

@@ -1,12 +1,12 @@
-// Unit tests for the PRIO qdisc, the kernel host model, and the DPDK QoS
-// scheduler model.
+// Unit tests for the kernel host model and the DPDK QoS scheduler model.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "baseline/dpdk_sched.h"
+#include "baseline/htb.h"
 #include "baseline/kernel_host.h"
-#include "baseline/prio.h"
+#include "fifo_qdisc.h"
 #include "sim/simulator.h"
 
 namespace flowvalve::baseline {
@@ -22,49 +22,6 @@ net::Packet packet_for(std::uint32_t app, std::uint32_t bytes = 1518,
   p.flow_id = app;
   p.wire_bytes = bytes;
   return p;
-}
-
-// ---- PRIO -------------------------------------------------------------------
-
-PrioQdisc make_prio() {
-  std::vector<std::unique_ptr<Qdisc>> bands;
-  bands.push_back(std::make_unique<FifoQdisc>(8));
-  bands.push_back(std::make_unique<FifoQdisc>(8));
-  bands.push_back(std::make_unique<FifoQdisc>(8));
-  return PrioQdisc(std::move(bands), [](const net::Packet& p) {
-    return static_cast<int>(p.app_id);
-  });
-}
-
-TEST(PrioQdiscTest, StrictBandOrder) {
-  PrioQdisc prio = make_prio();
-  prio.enqueue(packet_for(2), 0);
-  prio.enqueue(packet_for(0), 0);
-  prio.enqueue(packet_for(1), 0);
-  prio.enqueue(packet_for(0), 0);
-  EXPECT_EQ(prio.dequeue(0)->app_id, 0u);
-  EXPECT_EQ(prio.dequeue(0)->app_id, 0u);
-  EXPECT_EQ(prio.dequeue(0)->app_id, 1u);
-  EXPECT_EQ(prio.dequeue(0)->app_id, 2u);
-  EXPECT_FALSE(prio.dequeue(0).has_value());
-}
-
-TEST(PrioQdiscTest, OutOfRangeBandDrops) {
-  PrioQdisc prio = make_prio();
-  EXPECT_FALSE(prio.enqueue(packet_for(7), 0));
-  EXPECT_EQ(prio.backlog_packets(), 0u);
-}
-
-TEST(PrioQdiscTest, BacklogAccounting) {
-  PrioQdisc prio = make_prio();
-  prio.enqueue(packet_for(0, 100), 0);
-  prio.enqueue(packet_for(1, 200), 0);
-  EXPECT_EQ(prio.backlog_packets(), 2u);
-  EXPECT_EQ(prio.backlog_bytes(), 300u);
-  EXPECT_EQ(prio.next_event(5), 5);
-  prio.dequeue(0);
-  prio.dequeue(0);
-  EXPECT_EQ(prio.next_event(5), sim::kSimTimeMax);
 }
 
 TEST(FifoQdiscTest, TailDropAtLimit) {
@@ -166,6 +123,48 @@ TEST(KernelHost, CoreUtilizationVectorShape) {
   ASSERT_EQ(util.size(), 4u);  // 3 senders + softirq
   EXPECT_GT(util[0], 0.0);
   EXPECT_DOUBLE_EQ(util[1], 0.0);
+}
+
+TEST(KernelHost, HtbRootHoldsTenantsToRootAndRates) {
+  // An idealized HTB as the root qdisc: two tenants offering 8G each of
+  // GSO skbs are held near the 10G root and split by their 6:3 rates.
+  auto htb = std::make_unique<HtbQdisc>(Rate::gigabits_per_sec(10),
+                                        Rate::gigabits_per_sec(10));
+  HtbClassConfig vm1;
+  vm1.name = "vm1";
+  vm1.rate = Rate::gigabits_per_sec(6);
+  vm1.ceil = Rate::gigabits_per_sec(10);
+  vm1.queue_limit = 32;
+  htb->add_class(vm1);
+  HtbClassConfig vm2 = vm1;
+  vm2.name = "vm2";
+  vm2.rate = Rate::gigabits_per_sec(3);
+  htb->add_class(vm2);
+  htb->set_classifier(
+      [](const net::Packet& p) { return p.app_id == 0 ? "vm1" : "vm2"; });
+
+  sim::Simulator sim;
+  KernelHostConfig cfg;
+  cfg.sender_cores = 4;
+  cfg.wire_rate = Rate::gigabits_per_sec(40);
+  KernelHostDevice dev(sim, cfg, std::move(htb));
+  std::uint64_t delivered[2] = {};
+  dev.set_on_delivered([&](const net::Packet& p) { delivered[p.app_id] += p.wire_bytes; });
+
+  const std::uint32_t bytes = 64 * 1024;
+  const double gap = bytes * 8e9 / 8e9;
+  for (double t = 0; t < sim::milliseconds(200); t += gap)
+    sim.schedule_at(static_cast<sim::SimTime>(t), [&dev, bytes] {
+      dev.submit(packet_for(0, bytes));
+      dev.submit(packet_for(1, bytes));
+    });
+  sim.run_until(sim::milliseconds(220));
+
+  const double total_gbps =
+      static_cast<double>(delivered[0] + delivered[1]) * 8.0 / sim::milliseconds(200);
+  EXPECT_NEAR(total_gbps, 10.0, 1.2);
+  EXPECT_NEAR(static_cast<double>(delivered[0]) / static_cast<double>(delivered[1]),
+              2.0, 0.5);
 }
 
 // ---- DpdkQosScheduler ---------------------------------------------------------

@@ -4,10 +4,10 @@
 #include <map>
 #include <queue>
 
-#include "baseline/bucket_queue.h"
+#include "core/bucket_queue.h"
 #include "sim/rng.h"
 
-namespace flowvalve::baseline {
+namespace flowvalve::core {
 namespace {
 
 TEST(BucketQueueTest, EmptyBehaviour) {
@@ -15,7 +15,6 @@ TEST(BucketQueueTest, EmptyBehaviour) {
   EXPECT_TRUE(q.empty());
   EXPECT_FALSE(q.min_rank().has_value());
   EXPECT_FALSE(q.pop_min().has_value());
-  EXPECT_FALSE(q.pop_max().has_value());
 }
 
 TEST(BucketQueueTest, PopsInRankOrder) {
@@ -38,16 +37,6 @@ TEST(BucketQueueTest, FifoWithinBucket) {
   EXPECT_EQ(q.pop_min(), 10);
   EXPECT_EQ(q.pop_min(), 11);
   EXPECT_EQ(q.pop_min(), 12);
-}
-
-TEST(BucketQueueTest, PopMaxTakesWorstRank) {
-  BucketQueue<int> q(4096);
-  q.push(10, 1);
-  q.push(4000, 2);
-  q.push(500, 3);
-  EXPECT_EQ(q.pop_max(), 2);
-  EXPECT_EQ(q.pop_max(), 3);
-  EXPECT_EQ(q.pop_max(), 1);
 }
 
 TEST(BucketQueueTest, OverflowRanksSaturate) {
@@ -74,8 +63,9 @@ TEST(BucketQueueTest, ClampsToBitmapCeiling) {
   q.push(1'000'000, 7);
   q.push(0, 8);
   EXPECT_EQ(q.min_rank(), 0u);
-  EXPECT_EQ(q.pop_max(), 7);
   EXPECT_EQ(q.pop_min(), 8);
+  EXPECT_EQ(q.min_rank(), 4095u);
+  EXPECT_EQ(q.pop_min(), 7);
   EXPECT_TRUE(q.empty());
 }
 
@@ -85,41 +75,6 @@ TEST(BucketQueueTest, ZeroBucketsClampsUpToOneWord) {
   q.push(999, 1);  // saturates into bucket 63 rather than underflowing
   EXPECT_EQ(q.min_rank(), 63u);
   EXPECT_EQ(q.pop_min(), 1);
-}
-
-TEST(BucketQueueTest, PopMaxOnSingleElementBucket) {
-  BucketQueue<int> q(256);
-  q.push(200, 1);
-  EXPECT_EQ(q.pop_max(), 1);  // sole entry: max == min
-  EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(q.min_rank().has_value());
-  // The bitmap must be fully cleared: a fresh push lands clean.
-  q.push(3, 2);
-  EXPECT_EQ(q.min_rank(), 3u);
-  EXPECT_EQ(q.pop_max(), 2);
-}
-
-TEST(BucketQueueTest, ClearResets) {
-  BucketQueue<int> q(64);
-  q.push(1, 1);
-  q.push(2, 2);
-  q.clear();
-  EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(q.min_rank().has_value());
-}
-
-TEST(BucketQueueTest, ClearThenReuseBehavesFresh) {
-  BucketQueue<int> q(128);
-  for (std::size_t r = 0; r < 128; ++r) q.push(r, static_cast<int>(r));
-  q.clear();
-  EXPECT_FALSE(q.pop_min().has_value());
-  EXPECT_FALSE(q.pop_max().has_value());
-  q.push(64, 1);  // second word of the bitmap
-  q.push(5, 2);
-  EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.pop_min(), 2);
-  EXPECT_EQ(q.pop_min(), 1);
-  EXPECT_TRUE(q.empty());
 }
 
 TEST(BucketQueueTest, WordBoundaryRanks) {
@@ -135,7 +90,7 @@ TEST(BucketQueueTest, WordBoundaryRanks) {
 }
 
 // Property: behaves identically to a reference multimap across random
-// push/pop_min/pop_max sequences.
+// push/pop_min sequences.
 class BucketQueueFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(BucketQueueFuzz, MatchesReferenceModel) {
@@ -144,31 +99,18 @@ TEST_P(BucketQueueFuzz, MatchesReferenceModel) {
   std::multimap<std::size_t, int> ref;
   int next_val = 0;
   for (int step = 0; step < 20000; ++step) {
-    const auto op = rng.next_below(3);
-    if (op == 0 || ref.empty()) {
+    if (rng.next_below(2) == 0 || ref.empty()) {
       const auto rank = static_cast<std::size_t>(rng.next_below(1024));
       q.push(rank, next_val);
       ref.emplace(rank, next_val);
       ++next_val;
-    } else if (op == 1) {
+    } else {
       auto it = ref.begin();
       ASSERT_EQ(q.min_rank(), it->first);
       const auto got = q.pop_min();
       ASSERT_TRUE(got.has_value());
       EXPECT_EQ(*got, it->second);  // FIFO within rank matches multimap order
       ref.erase(it);
-    } else {
-      const auto got = q.pop_max();
-      ASSERT_TRUE(got.has_value());
-      auto it = std::prev(ref.end());
-      // pop_max takes LIFO within the max bucket; find the last-inserted
-      // entry of that rank in the reference (multimap preserves insertion
-      // order within a key).
-      auto range = ref.equal_range(it->first);
-      auto last = range.first;
-      for (auto i = range.first; i != range.second; ++i) last = i;
-      EXPECT_EQ(*got, last->second);
-      ref.erase(last);
     }
     ASSERT_EQ(q.size(), ref.size());
   }
@@ -177,4 +119,4 @@ TEST_P(BucketQueueFuzz, MatchesReferenceModel) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BucketQueueFuzz, ::testing::Range<std::uint64_t>(1, 9));
 
 }  // namespace
-}  // namespace flowvalve::baseline
+}  // namespace flowvalve::core

@@ -14,7 +14,9 @@
 #include "check/checker.h"
 #include "check/fuzzer.h"
 #include "check/runner.h"
+#include "core/flowvalve.h"
 #include "fault/fault.h"
+#include "np/flowvalve_processor.h"
 #include "np/nic_pipeline.h"
 #include "sim/simulator.h"
 
@@ -424,6 +426,45 @@ TEST(OrderingChecker, FlagsPacketsNeitherDeliveredNorDroppedAtFinish) {
                      "vf 2: packet 1 neither delivered nor dropped",
                      "vf 2: packet 3 neither delivered nor dropped",
                      "vf 6: packet 2 neither delivered nor dropped"}));
+}
+
+// --------------------------------------------------------- tree arithmetic --
+
+TEST(TreeArithmeticChecker, ReportsOverBudgetLevelsInAscendingOrder) {
+  // Two prio levels under the root, each summing to twice the 10G budget
+  // (every leaf at 10G, well under its default ceil); d's guarantee is
+  // prio 2's slack. The prio-0 pair comes first in the tree, an arrangement
+  // libstdc++'s unordered_map iterates in reverse, so the test pins the
+  // ascending report order on any standard library.
+  const std::string script =
+      "fv qdisc add dev nic0 root handle 1: htb rate 10gbit\n"
+      "fv class add dev nic0 parent 1: classid 1:10 name a prio 0\n"
+      "fv class add dev nic0 parent 1: classid 1:11 name b prio 2\n"
+      "fv class add dev nic0 parent 1: classid 1:12 name c prio 0\n"
+      "fv class add dev nic0 parent 1: classid 1:13 name d prio 2 guarantee 1gbit\n"
+      "fv filter add dev nic0 pref 1 vf 0 classid 1:10\n";
+  sim::Simulator sim;
+  const np::NpConfig nic;
+  core::FlowValveEngine engine(np::engine_options_for(nic));
+  ASSERT_EQ(engine.configure(script), "");
+  np::FlowValveProcessor proc(engine);
+  np::NicPipeline pipeline(sim, nic, proc);
+  CheckHarness harness(sim, pipeline, &engine);
+  harness.add_standard_checkers();
+  core::SchedulingTree& tree = engine.tree();
+  for (core::ClassId id = 0; id < tree.size(); ++id)
+    if (tree.at(id).is_leaf()) tree.at(id).theta = sim::Rate::gigabits_per_sec(10);
+
+  harness.start();
+  sim.run_until(CheckHarness::kEpoch + CheckHarness::kEpoch / 2);  // one epoch
+  std::vector<std::string> got;
+  for (const Violation& v : harness.sink().violations())
+    if (v.checker == "tree-arithmetic") got.push_back(v.detail);
+  EXPECT_EQ(got, (std::vector<std::string>{
+                     "children of 'root' at prio 0 sum to 20.000Gbps > parent "
+                     "budget 10.000Gbps + guarantee slack 0.0bps",
+                     "children of 'root' at prio 2 sum to 20.000Gbps > parent "
+                     "budget 10.000Gbps + guarantee slack 1.000Gbps"}));
 }
 
 }  // namespace

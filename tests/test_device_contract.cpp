@@ -12,6 +12,7 @@
 #include "baseline/pifo.h"
 #include "core/flowvalve.h"
 #include "exp/scenarios.h"
+#include "fifo_qdisc.h"
 #include "np/flowvalve_processor.h"
 #include "np/nic_pipeline.h"
 #include "sim/simulator.h"
