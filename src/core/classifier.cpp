@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cstddef>
 #include <cstring>
 #include <new>
@@ -200,14 +199,6 @@ void ExactMatchFlowCache::sweep_idle(std::uint64_t now_tick) {
   }
 }
 
-void ExactMatchFlowCache::finish_probe(std::size_t hit, std::uint64_t now_tick) {
-  // Refresh before sweeping: the sweep cursor may land on the hit's own
-  // bucket, and a probe must never reclaim the entry it is returning.
-  if (hit != kNoSlot) cold(hit).last_used = now_tick;
-  note_lookup();
-  sweep_idle(now_tick);
-}
-
 std::optional<ClassLabelId> ExactMatchFlowCache::lookup(std::uint16_t vf,
                                                         const FiveTuple& t,
                                                         std::uint64_t now_tick,
@@ -244,18 +235,15 @@ std::optional<ClassLabelId> ExactMatchFlowCache::lookup(std::uint16_t vf,
   }
   if (label) {
     ++stats_.hits;
+    // Refresh before sweeping: the sweep cursor may land on the hit's own
+    // bucket, and a probe must never reclaim the entry it is returning.
+    cold(slot).last_used = now_tick;
   } else {
     ++stats_.misses;
   }
-  finish_probe(slot, now_tick);
+  note_lookup();
+  sweep_idle(now_tick);
   return label;
-}
-
-void ExactMatchFlowCache::replay_hit(std::uint64_t now_tick) {
-  ++stats_.hits;
-  // The replayed entry was hit or inserted at now_tick by the burst's
-  // first probe, so there is nothing to refresh.
-  finish_probe(kNoSlot, now_tick);
 }
 
 std::optional<ClassLabelId> ExactMatchFlowCache::peek(std::uint16_t vf,
@@ -333,7 +321,7 @@ ExactMatchFlowCache::InsertOutcome ExactMatchFlowCache::insert_at(
   if (const std::size_t slot = find_key(b1, b2, k); slot != kNoSlot) {
     Cold& c = cold(slot);
     // A label or epoch change mutates a resident entry, which must advance
-    // the mutation stamp (the batch replay guard keys off it).
+    // the mutation stamp (it promises to move on any relabel).
     if (c.label != label || c.epoch != epoch) ++stats_.insertions;
     c.label = label;
     c.epoch = epoch;
@@ -570,7 +558,6 @@ Classifier::Result Classifier::classify(const net::Packet& pkt, std::uint64_t no
       r.label = *hit;
       r.cycles = kCacheHitCycles;
       r.cache_hit = true;
-      r.resident = true;
       return r;
     }
     r.cycles += kCacheMissCycles;
@@ -594,21 +581,8 @@ Classifier::Result Classifier::classify(const net::Packet& pkt, std::uint64_t no
       // A suppressed insert (degraded mode) charges nothing extra: the
       // packet already paid the honest miss + rule-walk cost.
       r.cycles += kCacheInsertCycles + out.kicks * kPerKickCycles;
-      r.resident = true;
     }
   }
-  return r;
-}
-
-Classifier::Result Classifier::classify_repeat(const Result& first,
-                                               std::uint64_t now_tick) {
-  assert(repeat_would_hit(first));
-  cache_.replay_hit(now_tick);
-  Result r;
-  r.label = first.label;
-  r.cycles = kCacheHitCycles;
-  r.cache_hit = true;
-  r.resident = true;
   return r;
 }
 

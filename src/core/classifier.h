@@ -210,14 +210,6 @@ class ExactMatchFlowCache {
   std::size_t fault_churn_storm(std::uint64_t seed, std::size_t n,
                                 std::uint64_t now_tick);
 
-  /// Book a hit the batched data path replays instead of re-probing: within
-  /// one worker burst, the second and later packets of a flow would each
-  /// hit the entry the first lookup touched (or just inserted) at the same
-  /// tick. Runs the epilogue every lookup() runs (lookup accounting, the
-  /// degraded-mode machine, one bucket of idle sweep), so a replayed hit
-  /// leaves exactly the state a real one would.
-  void replay_hit(std::uint64_t now_tick);
-
   const Stats& stats() const { return stats_; }
   Health health() const { return health_; }
   /// Current insert-failure pressure score (decays with lookups).
@@ -229,10 +221,10 @@ class ExactMatchFlowCache {
   std::size_t bucket_count() const { return buckets_; }
 
   /// Monotonic counter that changes whenever any resident entry could have
-  /// been added, removed, or relabeled — the batched data path's replay
-  /// guard and the coherence audit's skip: an unchanged stamp means a
-  /// previously-probed entry is still resident and unmodified. It keeps
-  /// rising across clear(), which zeroes the stats it sums.
+  /// been added, removed, or relabeled — the coherence audit's skip: an
+  /// unchanged stamp means the table's valid bits have not moved since it
+  /// was last read. It keeps rising across clear(), which zeroes the stats
+  /// it sums.
   std::uint64_t mutation_stamp() const {
     return stamp_base_ + stats_.insertions + stats_.evictions +
            stats_.stale_invalidations + stats_.idle_evictions +
@@ -326,10 +318,6 @@ class ExactMatchFlowCache {
   void note_kick_failure();
   void note_lookup();
   void sweep_idle(std::uint64_t now_tick);
-  /// The tail every probe shares, real or replayed: refresh the slot it
-  /// hit (kNoSlot for a miss or a replay), note the lookup, then sweep one
-  /// bucket for idle entries.
-  void finish_probe(std::size_t hit, std::uint64_t now_tick);
   void invalidate(std::size_t slot) {
     valid_[slot / kSlots] &= static_cast<std::uint8_t>(~(1u << (slot % kSlots)));
     --live_;
@@ -399,30 +387,11 @@ class Classifier {
     ClassLabelId label = net::kUnclassified;
     std::uint32_t cycles = 0;
     bool cache_hit = false;
-    /// The flow's entry is guaranteed resident after this classification
-    /// (it hit, or the miss path admitted the insert). False when the cache
-    /// is disabled, the label was unclassified, or the degraded-mode gate
-    /// suppressed the insert.
-    bool resident = false;
   };
 
   /// Classify a packet; `now_tick` is any monotonically increasing counter
   /// (we pass virtual time) used for cache aging.
   Result classify(const net::Packet& pkt, std::uint64_t now_tick);
-
-  /// Amortized classification for the 2nd..Nth same-flow packet of one
-  /// worker burst, given the burst-first packet's `first` result at the
-  /// same `now_tick`. Produces exactly what classify() would: the entry is
-  /// guaranteed resident (the first lookup hit it, or the miss path just
-  /// inserted it) with last_used == now_tick and the current label epoch,
-  /// so a real probe would hit at kCacheHitCycles with no entry mutation
-  /// and then run the same lookup epilogue (ExactMatchFlowCache::replay_hit).
-  /// Callers must guard with repeat_would_hit() and an unchanged
-  /// mutation_stamp() — otherwise the repeat must re-run classify().
-  Result classify_repeat(const Result& first, std::uint64_t now_tick);
-  bool repeat_would_hit(const Result& first) const {
-    return cache_enabled_ && first.resident;
-  }
 
   bool cache_enabled() const { return cache_enabled_; }
 

@@ -25,62 +25,25 @@ SchedulingFunction& FlowValveEngine::scheduler() {
 }
 
 FlowValveEngine::Result FlowValveEngine::process(net::Packet& pkt, sim::SimTime now) {
-  BatchEntry entry{&pkt, {}};
-  process_batch(&entry, 1, now);
-  return entry.result;
-}
-
-void FlowValveEngine::process_batch(BatchEntry* entries, std::size_t n,
-                                    sim::SimTime now) {
   assert(ready() && "configure() the engine first");
-  Classifier& cls = frontend_.classifier();
-  batch_groups_.clear();
-
-  for (std::size_t i = 0; i < n; ++i) {
-    net::Packet& pkt = *entries[i].pkt;
-    Result r;
-
-    FlowGroup* group = nullptr;
-    for (FlowGroup& g : batch_groups_) {
-      if (g.vf == pkt.vf_port && g.tuple == pkt.tuple) {
-        group = &g;
-        break;
-      }
-    }
-    Classifier::Result c;
-    if (group != nullptr && cls.repeat_would_hit(group->first) &&
-        cls.cache().mutation_stamp() == group->stamp_after) {
-      c = cls.classify_repeat(group->first, static_cast<std::uint64_t>(now));
-    } else {
-      c = cls.classify(pkt, static_cast<std::uint64_t>(now));
-      if (group != nullptr) {
-        group->first = c;
-        group->stamp_after = cls.cache().mutation_stamp();
-      } else {
-        batch_groups_.push_back(
-            {pkt.vf_port, pkt.tuple, c, cls.cache().mutation_stamp()});
-      }
-    }
-    r.cycles += c.cycles;
-    r.cache_hit = c.cache_hit;
-    pkt.label = c.label;
-
-    if (pkt.label == net::kUnclassified) {
-      // No filter matched and no default class configured: drop, as the
-      // NIC has no class whose budget could account for this packet.
-      r.verdict = Verdict::kDrop;
-      entries[i].result = r;
-      if (process_observer_) process_observer_(pkt, r, now);
-      continue;
-    }
-
+  const Classifier::Result c =
+      frontend_.classifier().classify(pkt, static_cast<std::uint64_t>(now));
+  Result r;
+  r.cycles = c.cycles;
+  r.cache_hit = c.cache_hit;
+  pkt.label = c.label;
+  if (pkt.label == net::kUnclassified) {
+    // No filter matched and no default class configured: drop, as the
+    // NIC has no class whose budget could account for this packet.
+    r.verdict = Verdict::kDrop;
+  } else {
     const SchedDecision d = sched_->schedule(pkt, now);
     r.cycles += d.cycles;
     r.verdict = d.verdict;
     r.borrowed = d.borrowed;
-    entries[i].result = r;
-    if (process_observer_) process_observer_(pkt, r, now);
   }
+  if (process_observer_) process_observer_(pkt, r, now);
+  return r;
 }
 
 }  // namespace flowvalve::core

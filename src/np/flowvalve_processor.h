@@ -21,28 +21,15 @@ class FlowValveProcessor final : public PacketProcessor {
  public:
   explicit FlowValveProcessor(core::FlowValveEngine& engine) : engine_(engine) {}
 
+  /// A burst reaches the engine one packet at a time, through the default
+  /// PacketProcessor::process_batch loop.
   Outcome process(net::Packet& pkt, sim::SimTime now) override {
     const auto r = engine_.process(pkt, now);
     return {r.verdict == core::Verdict::kForward, r.cycles};
   }
 
-  /// Burst path: hand the whole burst to the engine so it can amortize
-  /// EMC lookups across same-flow packets (exact per the batch-1
-  /// differential oracle).
-  void process_batch(BatchSlot* slots, std::size_t n, sim::SimTime now) override {
-    entries_.clear();
-    for (std::size_t i = 0; i < n; ++i)
-      entries_.push_back({slots[i].pkt, {}});
-    engine_.process_batch(entries_.data(), n, now);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto& r = entries_[i].result;
-      slots[i].out = {r.verdict == core::Verdict::kForward, r.cycles};
-    }
-  }
-
  private:
   core::FlowValveEngine& engine_;
-  std::vector<core::FlowValveEngine::BatchEntry> entries_;  // scratch
 };
 
 }  // namespace flowvalve::np

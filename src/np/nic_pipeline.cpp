@@ -222,10 +222,9 @@ void NicPipeline::dispatch_burst(unsigned worker) {
 
   // Run-to-completion over the fresh slice: base Rx work + processor + base
   // Tx work per packet, all "at" the dispatch instant. The processor's batch
-  // hook amortizes flow-cache lookups across same-flow packets but must
-  // produce exactly what per-packet calls would (the batch-1 differential
-  // oracle holds it to that). Cutover cycles are charged to the first fresh
-  // packet; cycles for dropped packets omit the Tx copy.
+  // hook must produce exactly what per-packet calls would (the batch-1
+  // differential oracle holds it to that). Cutover cycles are charged to the
+  // first fresh packet; cycles for dropped packets omit the Tx copy.
   if (fresh > 0) {
     slot_scratch_.clear();
     for (std::size_t i = first_fresh; i < ctx.burst.size(); ++i)

@@ -50,11 +50,11 @@ class PacketProcessor {
 
   /// Process a burst of fresh packets pulled by one worker at the same
   /// instant. The default loops process() per slot, so every processor is
-  /// batch-correct by construction; FlowValveProcessor overrides this to
-  /// amortize EMC flow-cache lookups across same-flow packets. Must fill
-  /// every slot's `out` with exactly what per-packet process() calls at
-  /// `now` would have produced (the batch-1-vs-32 differential oracle in
-  /// tests/test_np_batch_diff.cpp holds implementations to that).
+  /// batch-correct by construction. An override (perfbench's timing
+  /// wrapper is one) must fill every slot's `out` with exactly what
+  /// per-packet process() calls at `now` would have produced (the
+  /// batch-1-vs-32 differential oracle in tests/test_np_batch_diff.cpp
+  /// holds implementations to that).
   virtual void process_batch(BatchSlot* slots, std::size_t n, sim::SimTime now) {
     for (std::size_t i = 0; i < n; ++i) slots[i].out = process(*slots[i].pkt, now);
   }
