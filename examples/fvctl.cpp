@@ -33,6 +33,7 @@
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -182,7 +183,12 @@ bool parse_update(const std::string& text, ctrl::PolicyUpdate* out,
       const std::string val = word.substr(eq + 1);
       try {
         if (key == "weight") d.weight = std::stod(val);
-        else if (key == "prio") d.prio = static_cast<core::PrioLevel>(std::stoul(val));
+        else if (key == "prio") {
+          core::PrioLevel prio = 0;
+          if (!parse_count(val.c_str(), &prio))
+            throw std::invalid_argument("not an integer in [0, 255]");
+          d.prio = prio;
+        }
         else if (key == "rate" || key == "guarantee") d.guarantee = core::parse_rate(val);
         else if (key == "ceil") d.ceil = core::parse_rate(val);
         else {

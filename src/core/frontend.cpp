@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -23,6 +24,13 @@ std::vector<std::string> tokenize(std::string_view line) {
   return out;
 }
 
+// The largest value each integer field holds; parse_uint refuses anything
+// above it rather than let the cast to the field's type truncate it.
+constexpr std::uint64_t kMaxPrio = std::numeric_limits<PrioLevel>::max();
+constexpr std::uint64_t kMaxU16 = std::numeric_limits<std::uint16_t>::max();  // vf, ports
+constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();  // pref
+constexpr std::uint64_t kMaxPrioBands = 16;  // tc's TCQ_PRIO_BANDS
+
 [[noreturn]] void fail(const std::string& msg) { throw std::invalid_argument("fv: " + msg); }
 
 double parse_number(std::string_view s, std::string_view what) {
@@ -34,12 +42,16 @@ double parse_number(std::string_view s, std::string_view what) {
   return v;
 }
 
-std::uint64_t parse_uint(std::string_view s, std::string_view what) {
+/// `s` as a decimal integer in [0, max].
+std::uint64_t parse_uint(std::string_view s, std::string_view what, std::uint64_t max) {
   std::uint64_t v = 0;
   const auto* end = s.data() + s.size();
   auto res = std::from_chars(s.data(), end, v);
   if (res.ec != std::errc() || res.ptr != end)
     fail("bad " + std::string(what) + " '" + std::string(s) + "'");
+  if (v > max)
+    fail(std::string(what) + " '" + std::string(s) + "' is out of range (max " +
+         std::to_string(max) + ")");
   return v;
 }
 
@@ -70,9 +82,7 @@ std::uint32_t parse_ipv4(std::string_view text) {
     std::string_view part =
         octet < 3 ? text.substr(pos, dot - pos) : text.substr(pos);
     if (octet < 3 && dot == std::string_view::npos) fail("bad ip '" + std::string(text) + "'");
-    const std::uint64_t v = parse_uint(part, "ip octet");
-    if (v > 255) fail("ip octet out of range in '" + std::string(text) + "'");
-    out = out << 8 | static_cast<std::uint32_t>(v);
+    out = out << 8 | static_cast<std::uint32_t>(parse_uint(part, "ip octet", 255));
     pos = dot + 1;
   }
   return out;
@@ -133,7 +143,8 @@ void FvFrontend::cmd_qdisc(const std::vector<std::string>& tok) {
       rate = parse_rate(tok[i + 1]);
       have_rate = true;
     }
-    if (tok[i] == "bands") bands = static_cast<unsigned>(parse_uint(tok[i + 1], "bands"));
+    if (tok[i] == "bands")
+      bands = static_cast<unsigned>(parse_uint(tok[i + 1], "bands", kMaxPrioBands));
     if (tok[i] == "default") default_classid_ = tok[i + 1];
     if (tok[i + 1] == "htb" || tok[i + 1] == "prio") kind = tok[i + 1];
   }
@@ -188,7 +199,7 @@ void FvFrontend::cmd_class(const std::vector<std::string>& tok) {
     else if (k == "rate") { rate = parse_rate(v); have_rate = true; }
     else if (k == "ceil") pol.ceil = parse_rate(v);
     else if (k == "guarantee") pol.guarantee = parse_rate(v);
-    else if (k == "prio") pol.prio = static_cast<PrioLevel>(parse_uint(v, "prio"));
+    else if (k == "prio") pol.prio = static_cast<PrioLevel>(parse_uint(v, "prio", kMaxPrio));
     else if (k == "weight") pol.weight = parse_number(v, "weight");
     else if (k == "name") name = v;
   }
@@ -210,8 +221,8 @@ void FvFrontend::cmd_filter(const std::vector<std::string>& tok) {
   for (std::size_t i = 0; i + 1 < tok.size(); ++i) {
     const std::string& k = tok[i];
     const std::string& v = tok[i + 1];
-    if (k == "pref") pf.rule.pref = static_cast<std::uint32_t>(parse_uint(v, "pref"));
-    else if (k == "vf") pf.rule.vf_port = static_cast<std::uint16_t>(parse_uint(v, "vf"));
+    if (k == "pref") pf.rule.pref = static_cast<std::uint32_t>(parse_uint(v, "pref", kMaxU32));
+    else if (k == "vf") pf.rule.vf_port = static_cast<std::uint16_t>(parse_uint(v, "vf", kMaxU16));
     else if (k == "proto") {
       if (v == "tcp") pf.rule.proto = net::IpProto::kTcp;
       else if (v == "udp") pf.rule.proto = net::IpProto::kUdp;
@@ -220,17 +231,16 @@ void FvFrontend::cmd_filter(const std::vector<std::string>& tok) {
       std::string_view spec = v;
       std::uint8_t len = 32;
       if (auto slash = spec.find('/'); slash != std::string_view::npos) {
-        len = static_cast<std::uint8_t>(parse_uint(spec.substr(slash + 1), "prefix len"));
+        len = static_cast<std::uint8_t>(parse_uint(spec.substr(slash + 1), "prefix len", 32));
         spec = spec.substr(0, slash);
       }
-      if (len > 32) fail("prefix length > 32");
       const std::uint32_t addr = parse_ipv4(spec);
       if (k == "src") { pf.rule.src_ip = addr; pf.rule.src_prefix_len = len; }
       else { pf.rule.dst_ip = addr; pf.rule.dst_prefix_len = len; }
     } else if (k == "sport") {
-      pf.rule.src_port = static_cast<std::uint16_t>(parse_uint(v, "sport"));
+      pf.rule.src_port = static_cast<std::uint16_t>(parse_uint(v, "sport", kMaxU16));
     } else if (k == "dport") {
-      pf.rule.dst_port = static_cast<std::uint16_t>(parse_uint(v, "dport"));
+      pf.rule.dst_port = static_cast<std::uint16_t>(parse_uint(v, "dport", kMaxU16));
     } else if (k == "classid") {
       pf.target_classid = v;
     }

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "harness.h"
 
@@ -101,17 +102,22 @@ TEST(BenchHarness, RejectsFlagsTheProgramDoesNotTake) {
 
 TEST(BenchHarness, RejectsMalformedJobCounts) {
   char prog[] = "bench", jobs[] = "--jobs";
-  for (const char* bad : {"", "-1", "+2", " 2", "1O0", "2x", "0x", "abc",
-                          "4294967296", "99999999999999999999"}) {
+  for (const char* bad : {"", "-1", "+2", " 2", "1O0", "2x", "0x", "0x0x10",
+                          "abc", "4294967296", "99999999999999999999"}) {
     std::string value = bad;
     char* argv[] = {prog, jobs, value.data()};
     EXPECT_EXIT(parse_args(3, argv, "bench", "BENCH_x.json", kJobs),
                 ::testing::ExitedWithCode(2), "bench: --jobs .*got '")
         << "'" << bad << "'";
   }
-  char hex[] = "0x10";
-  char* argv[] = {prog, jobs, hex};
-  EXPECT_EQ(parse_args(3, argv, "bench", "BENCH_x.json", kJobs).jobs, 16u);
+  // Hex only after 0x; a leading 0 is decimal, not octal.
+  for (const auto& [text, jobs_wanted] :
+       {std::pair{"0x10", 16u}, std::pair{"010", 10u}, std::pair{"09", 9u}}) {
+    std::string value = text;
+    char* argv[] = {prog, jobs, value.data()};
+    EXPECT_EQ(parse_args(3, argv, "bench", "BENCH_x.json", kJobs).jobs, jobs_wanted)
+        << "'" << text << "'";
+  }
 }
 
 TEST(BenchHarness, InterleaveAlternatesOrderAfterAWarmUpPair) {
