@@ -231,12 +231,6 @@ void ReconfigManager::guard_tick() {
       return;
     }
   }
-  if (guard_) {
-    if (std::string regression = guard_(now); !regression.empty()) {
-      do_rollback(regression, now);
-      return;
-    }
-  }
   if (now >= probation_end_) {
     commit(now);
     return;

@@ -11,7 +11,8 @@
 //      worker stamps packets with the new epoch, and the first new-epoch
 //      packet to win a class's try-lock commits that class's staged policy
 //      inside the guarded section (paper Fig. 8 cycle model);
-//   4. probation: a guard observes invariants/metrics for a window;
+//   4. probation: for a window after the epoch flips, the manager checks
+//      every period that no worker is stuck on a stale epoch;
 //   5. commit — or automatic, deterministic rollback restoring the prior
 //      policies at a new (strictly higher) epoch number.
 //
@@ -23,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -50,9 +50,9 @@ class ReconfigManager final : public np::ControlHook {
   /// Admission modulus forced while a stalled swap resolves (drop every
   /// Nth submission) — only engaged when the pipeline is actually loaded.
   static constexpr std::uint64_t kStallShedModulus = 8;
-  /// Guarded observation window between cutover and permanent commit.
+  /// Observation window between cutover and permanent commit.
   static constexpr sim::SimDuration kProbation = sim::milliseconds(5);
-  /// Guard evaluation period during probation.
+  /// Stale-worker check period during probation.
   static constexpr sim::SimDuration kGuardPeriod = kProbation / 8;
 
   enum class State : std::uint8_t { kIdle, kRollout, kProbation };
@@ -77,11 +77,6 @@ class ReconfigManager final : public np::ControlHook {
   ReconfigManager(const ReconfigManager&) = delete;
   ReconfigManager& operator=(const ReconfigManager&) = delete;
 
-  /// Probation guard: called periodically during probation with the current
-  /// time; a non-empty return is a regression reason and triggers rollback.
-  void set_guard(std::function<std::string(sim::SimTime)> guard) {
-    guard_ = std::move(guard);
-  }
   void set_observer(Observer* observer) { observer_ = observer; }
 
   /// Submit an update. Returns empty on acceptance (rollout started, or
@@ -125,7 +120,7 @@ class ReconfigManager final : public np::ControlHook {
     std::uint64_t applied = 0;      // accepted updates (incl. queued)
     std::uint64_t rejected = 0;     // failed shadow validation
     std::uint64_t committed = 0;    // survived probation
-    std::uint64_t rolled_back = 0;  // guard/stall/tear/operator rollbacks
+    std::uint64_t rolled_back = 0;  // stale-worker/tear/operator rollbacks
     std::uint64_t coalesced = 0;    // queued updates overwritten by newer ones
     std::uint64_t stalled = 0;      // rollouts that hit the stall timeout
     std::uint64_t mixed_epoch_packets = 0;
@@ -175,7 +170,6 @@ class ReconfigManager final : public np::ControlHook {
   sim::EventHandle guard_timer_;
   sim::SimTime probation_end_ = 0;
 
-  std::function<std::string(sim::SimTime)> guard_;
   Observer* observer_ = nullptr;
   obs::ReconfigRecord open_;  // record of the in-progress update
   unsigned tear_stride_ = 0;  // latched torn-update fault (0 = none)

@@ -275,18 +275,6 @@ TEST(ReconfigRollback, RollbackIsDeterministic) {
   EXPECT_EQ(run_once(), run_once());
 }
 
-TEST(ReconfigRollback, GuardRegressionTriggersRollback) {
-  Stack s;
-  s.mgr->set_guard([](sim::SimTime) { return std::string("synthetic metric regression"); });
-  s.sim.schedule_at(kApplyAt,
-                    [&s] { s.mgr->apply(weight_delta("gold", 8.0)); });
-  s.run(kSettled);
-  EXPECT_EQ(s.mgr->stats().rolled_back, 1u);
-  ASSERT_EQ(s.tracker.records().size(), 1u);
-  EXPECT_NE(s.tracker.records()[0].outcome.find("synthetic metric regression"),
-            std::string::npos);
-}
-
 TEST(ReconfigRollback, OperatorRollbackRestoresPriorPolicy) {
   Stack s;
   s.sim.schedule_at(kApplyAt,
