@@ -79,6 +79,9 @@ ExactMatchFlowCache::ExactMatchFlowCache(Options options)
                             MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (base == MAP_FAILED) throw std::bad_alloc();
   mapping_ = std::unique_ptr<void, Unmap>(base, Unmap{bytes});
+  // Advice only: where the kernel has no huge page to give, the table stays
+  // on 4 KiB pages and behaves the same.
+  if (capacity() >= kHugePageMinSlots) ::madvise(base, bytes, MADV_HUGEPAGE);
   // Page-aligned base; key lines and cold lines are whole multiples of 64.
   auto* const bytes_at = static_cast<std::byte*>(base);
   keys_ = reinterpret_cast<KeyLine*>(bytes_at);

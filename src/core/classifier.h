@@ -114,6 +114,13 @@ class ExactMatchFlowCache {
   static constexpr std::uint32_t kMinDegradedDwell = 1024;      // lookups before recovery
   static constexpr std::uint32_t kRecoveryAdmitEvery = 8;       // admit 1-in-N inserts
   static constexpr std::uint32_t kRecoveryCleanLookups = 1024;  // quiet lookups → healthy
+  /// Tables of at least this many slots (about 48 MiB) ask the kernel for
+  /// 2 MiB pages: a million-flow table is primed densely, so 4 KiB pages
+  /// would cost a page fault per 4 KiB on priming and leave the table far
+  /// past the TLB's reach. Smaller tables are mostly sparse, and a huge
+  /// page would zero-fill 2 MiB per touched region, so they keep 4 KiB
+  /// pages, backed only where written.
+  static constexpr std::size_t kHugePageMinSlots = std::size_t{1} << 20;
 
   /// Insert-admission health (DESIGN.md §14). kDegraded suppresses all new
   /// inserts; kRecovering admits 1-in-kRecoveryAdmitEvery. Lookups always
@@ -328,7 +335,8 @@ class ExactMatchFlowCache {
   // is several MiB and every scenario frees and rebuilds one; from the
   // heap that fragmented what the rest of the simulator allocates. The
   // mapping is zero-filled, so the masks start clear, and backed only
-  // where written: only slots whose valid bit is set are ever read.
+  // where written (in 2 MiB units from kHugePageMinSlots up): only slots
+  // whose valid bit is set are ever read.
   struct Unmap {
     std::size_t bytes;
     void operator()(void* p) const noexcept;

@@ -10,16 +10,18 @@ namespace flowvalve::traffic {
 
 FlowSizeDistribution::FlowSizeDistribution(double alpha, std::uint64_t min_bytes,
                                            std::uint64_t max_bytes)
-    : alpha_(alpha), lo_(static_cast<double>(min_bytes)), hi_(static_cast<double>(max_bytes)) {
+    : alpha_(alpha),
+      lo_(static_cast<double>(min_bytes)),
+      hi_(static_cast<double>(max_bytes)),
+      la_(std::pow(lo_, alpha_)),
+      ha_(std::pow(hi_, alpha_)) {
   assert(alpha > 0.0 && min_bytes > 0 && max_bytes > min_bytes);
 }
 
 std::uint64_t FlowSizeDistribution::sample(sim::Rng& rng) const {
   // Bounded Pareto inverse-CDF sampling.
   const double u = std::max(rng.next_double(), 1e-12);
-  const double la = std::pow(lo_, alpha_);
-  const double ha = std::pow(hi_, alpha_);
-  const double x = std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha_);
+  const double x = std::pow(-(u * ha_ - u * la_ - ha_) / (ha_ * la_), -1.0 / alpha_);
   return static_cast<std::uint64_t>(std::clamp(x, lo_, hi_));
 }
 
@@ -28,9 +30,7 @@ double FlowSizeDistribution::mean_bytes() const {
     // α → 1 limit of the bounded Pareto mean.
     return lo_ * hi_ / (hi_ - lo_) * std::log(hi_ / lo_);
   }
-  const double la = std::pow(lo_, alpha_);
-  const double ha = std::pow(hi_, alpha_);
-  return la / (1.0 - la / ha) * (alpha_ / (alpha_ - 1.0)) *
+  return la_ / (1.0 - la_ / ha_) * (alpha_ / (alpha_ - 1.0)) *
          (1.0 / std::pow(lo_, alpha_ - 1.0) - 1.0 / std::pow(hi_, alpha_ - 1.0));
 }
 

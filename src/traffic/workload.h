@@ -27,6 +27,7 @@ class FlowSizeDistribution {
  private:
   double alpha_;
   double lo_, hi_;
+  double la_, ha_;  // lo_^alpha_ and hi_^alpha_, constant per distribution
 };
 
 struct DatacenterWorkloadConfig {

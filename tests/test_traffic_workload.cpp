@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -182,6 +183,24 @@ TEST(ChurnWorkloadTest, AggregateRateIndependentOfLiveFlowCount) {
   const double large = offered(6400);
   EXPECT_NEAR(small, 10.0, 1.0);
   EXPECT_NEAR(large, small, small * 0.05);
+}
+
+TEST(ChurnWorkloadTest, RefusesFlowsLongerThanItsPacketCounts) {
+  // A live flow counts its packets in 32 bits; a longer flow would wrap.
+  sim::Simulator sim;
+  SinkDevice sink(sim);
+  IdAllocator ids;
+  FlowRouter router(sink);
+  const auto make = [&](std::uint64_t min_packets, std::uint64_t max_packets) {
+    ChurnWorkloadConfig cfg;
+    cfg.min_packets = min_packets;
+    cfg.max_packets = max_packets;
+    ChurnWorkload wl(sim, router, ids, cfg, sim::Rng(10));
+  };
+  constexpr std::uint64_t kMax = ChurnWorkloadConfig::kMaxPackets;
+  EXPECT_NO_THROW(make(kMax - 1, kMax));
+  EXPECT_THROW(make(2, kMax + 1), std::invalid_argument);
+  EXPECT_THROW(make(kMax, 2), std::invalid_argument);  // its sampler's top is min + 1
 }
 
 TEST(ChurnWorkloadTest, SerialSchemeYieldsUniqueKeysAcrossVfs) {
