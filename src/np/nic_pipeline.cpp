@@ -77,7 +77,8 @@ NicPipeline::NicPipeline(sim::Simulator& sim, NpConfig config, PacketProcessor& 
     const std::size_t need = config_.reorder_capacity +
                              4 * config_.num_workers * config_.batch_size + 64;
     while (window < need) window <<= 1;
-    reorder_ring_.resize(window);
+    reorder_state_.resize(window);
+    reorder_pkts_ = std::make_unique<sim::RawSlot<net::Packet>[]>(window);
     reorder_mask_ = window - 1;
   }
   workers_.resize(config_.num_workers);
@@ -360,9 +361,9 @@ void NicPipeline::reorder_commit(std::uint64_t seq, net::Packet&& pkt) {
     maybe_arm_watchdog();
     return;
   }
-  ReorderSlot& slot = reorder_slot_for(seq);
-  slot.state = ReorderSlot::State::kPacket;
-  slot.pkt = std::move(pkt);
+  const std::size_t i = reorder_index_for(seq);
+  reorder_state_[i] = ReorderState::kPacket;
+  reorder_pkts_[i].value = pkt;
   reorder_committed();
 }
 
@@ -378,16 +379,16 @@ void NicPipeline::reorder_commit_gap(std::uint64_t seq) {
     maybe_arm_watchdog();
     return;
   }
-  reorder_slot_for(seq).state = ReorderSlot::State::kDropped;
+  reorder_state_[reorder_index_for(seq)] = ReorderState::kDropped;
   reorder_committed();
 }
 
-NicPipeline::ReorderSlot& NicPipeline::reorder_slot_for(std::uint64_t seq) {
+std::size_t NicPipeline::reorder_index_for(std::uint64_t seq) {
   if (seq - next_release_seq_ > reorder_mask_) grow_reorder_ring(seq);
-  ReorderSlot& slot = reorder_ring_[seq & reorder_mask_];
-  assert(slot.state == ReorderSlot::State::kEmpty &&
+  const std::size_t i = seq & reorder_mask_;
+  assert(reorder_state_[i] == ReorderState::kEmpty &&
          "ingress sequence committed twice");
-  return slot;
+  return i;
 }
 
 void NicPipeline::reorder_committed() {
@@ -413,24 +414,22 @@ void NicPipeline::reorder_advance() {
 }
 
 void NicPipeline::release_reorder_prefix() {
-  ReorderSlot* slot = &reorder_ring_[next_release_seq_ & reorder_mask_];
-  while (reorder_count_ > 0 && slot->state != ReorderSlot::State::kEmpty) {
-    if (slot->state == ReorderSlot::State::kPacket) {
-      tx_admit(std::move(slot->pkt));  // kEmpty below is what frees the slot
+  std::size_t i = next_release_seq_ & reorder_mask_;
+  while (reorder_count_ > 0 && reorder_state_[i] != ReorderState::kEmpty) {
+    if (reorder_state_[i] == ReorderState::kPacket) {
+      tx_admit(reorder_pkts_[i].value);  // kEmpty below is what frees the slot
     }
-    slot->state = ReorderSlot::State::kEmpty;
+    reorder_state_[i] = ReorderState::kEmpty;
     --reorder_count_;
     ++next_release_seq_;
-    slot = &reorder_ring_[next_release_seq_ & reorder_mask_];
+    i = next_release_seq_ & reorder_mask_;
   }
 }
 
 std::uint64_t NicPipeline::oldest_buffered_seq() const {
   assert(reorder_count_ > 0);
   std::uint64_t seq = next_release_seq_;
-  while (reorder_ring_[seq & reorder_mask_].state ==
-         ReorderSlot::State::kEmpty)
-    ++seq;
+  while (reorder_state_[seq & reorder_mask_] == ReorderState::kEmpty) ++seq;
   return seq;
 }
 
@@ -438,19 +437,23 @@ void NicPipeline::grow_reorder_ring(std::uint64_t seq) {
   // Only a frozen release pointer (injected reorder stall) can push the
   // window this far; mirror the old std::map's grow-without-bound behavior
   // instead of inventing a new flush policy for the pathological case.
-  std::size_t window = reorder_ring_.size();
+  std::size_t window = reorder_state_.size();
   while (seq - next_release_seq_ > window - 1) window <<= 1;
-  std::vector<ReorderSlot> grown(window);
+  std::vector<ReorderState> states(window);
+  auto pkts = std::make_unique<sim::RawSlot<net::Packet>[]>(window);
   const std::uint64_t new_mask = window - 1;
   std::size_t moved = 0;
   for (std::uint64_t s = next_release_seq_;
        moved < reorder_count_ && s - next_release_seq_ <= reorder_mask_; ++s) {
-    ReorderSlot& old_slot = reorder_ring_[s & reorder_mask_];
-    if (old_slot.state == ReorderSlot::State::kEmpty) continue;
-    grown[s & new_mask] = std::move(old_slot);
+    const std::size_t from = s & reorder_mask_;
+    if (reorder_state_[from] == ReorderState::kEmpty) continue;
+    states[s & new_mask] = reorder_state_[from];
+    if (reorder_state_[from] == ReorderState::kPacket)
+      pkts[s & new_mask].value = reorder_pkts_[from].value;
     ++moved;
   }
-  reorder_ring_ = std::move(grown);
+  reorder_state_ = std::move(states);
+  reorder_pkts_ = std::move(pkts);
   reorder_mask_ = new_mask;
 }
 
@@ -461,8 +464,7 @@ void NicPipeline::update_hole_tracking() {
     return;
   }
   const bool hole =
-      reorder_ring_[next_release_seq_ & reorder_mask_].state ==
-          ReorderSlot::State::kEmpty;
+      reorder_state_[next_release_seq_ & reorder_mask_] == ReorderState::kEmpty;
   if (!hole) {
     hole_active_ = false;
     return;

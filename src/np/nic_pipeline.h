@@ -217,7 +217,7 @@ class NicPipeline final : public net::EgressDevice {
   std::size_t reorder_occupancy() const { return reorder_count_; }
 
   /// Reorder sliding-window span in sequence numbers (power of two).
-  std::size_t reorder_window() const { return reorder_ring_.size(); }
+  std::size_t reorder_window() const { return reorder_state_.size(); }
 
   /// Workers wedged by an injected stall/crash, awaiting repair_worker().
   unsigned hung_workers() const;
@@ -339,14 +339,11 @@ class NicPipeline final : public net::EgressDevice {
     unsigned retries = 0;
   };
 
-  /// One slot of the reorder sliding window, indexed by ingress_seq & mask.
-  /// kDropped marks a sequence committed without a packet (scheduler drop,
-  /// watchdog give-up, injected bypass) so the window can advance past it.
-  struct ReorderSlot {
-    enum class State : std::uint8_t { kEmpty, kPacket, kDropped };
-    State state = State::kEmpty;
-    net::Packet pkt;  // valid iff state == kPacket
-  };
+  /// State of one slot of the reorder sliding window. kDropped marks a
+  /// sequence committed without a packet (scheduler drop, watchdog
+  /// give-up, injected bypass) so the window can advance past it. Zero is
+  /// kEmpty, so a zeroed state array is an empty window.
+  enum class ReorderState : std::uint8_t { kEmpty, kPacket, kDropped };
 
   void try_dispatch();
   /// Pull up to batch_size packets (retries first, then round-robin over the
@@ -364,9 +361,11 @@ class NicPipeline final : public net::EgressDevice {
   /// bypass) so the window can advance past it.
   void reorder_commit(std::uint64_t seq, net::Packet&& pkt);
   void reorder_commit_gap(std::uint64_t seq);
+  /// The window index of `seq`, an empty slot (growing the window first
+  /// if `seq` lies past it).
+  std::size_t reorder_index_for(std::uint64_t seq);
   /// Shared tail of the commit paths: occupancy accounting, then
   /// reorder_advance.
-  ReorderSlot& reorder_slot_for(std::uint64_t seq);
   void reorder_committed();
   /// In-order release and the capacity cap (both skipped while frozen),
   /// then hole tracking. Buffered commits and the unfreeze end here.
@@ -449,11 +448,14 @@ class NicPipeline final : public net::EgressDevice {
   // Reorder system state.
   std::uint64_t next_ingress_seq_ = 0;   // assigned at dispatch
   std::uint64_t next_release_seq_ = 0;   // next seq allowed into the Tx ring
-  // Power-of-two sliding window over ingress sequence numbers: slot for
-  // seq s is reorder_ring_[s & reorder_mask_]. Spans [next_release_seq_,
+  // Power-of-two sliding window over ingress sequence numbers: seq s sits
+  // at index s & reorder_mask_ of both arrays. Spans [next_release_seq_,
   // next_release_seq_ + window); sized so steady-state traffic (capacity
-  // cap + every in-flight/retry slot) never wraps onto a live entry.
-  std::vector<ReorderSlot> reorder_ring_;
+  // cap + every in-flight/retry slot) never wraps onto a live entry. The
+  // states start zeroed (kEmpty); the packet slots are raw storage, each
+  // written by a commit before its state reads kPacket.
+  std::vector<ReorderState> reorder_state_;
+  std::unique_ptr<sim::RawSlot<net::Packet>[]> reorder_pkts_;
   std::uint64_t reorder_mask_ = 0;
   std::size_t reorder_count_ = 0;     // occupied (non-kEmpty) slots
   bool reorder_frozen_ = false;       // injected release-pointer stall

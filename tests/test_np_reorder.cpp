@@ -275,6 +275,53 @@ TEST(NpReorder, RingWrapAroundWithHolesStaysOrdered) {
   EXPECT_EQ(run.pipeline.reorder_occupancy(), 0u);
 }
 
+// A frozen release pointer is the only way to commit a sequence past the
+// window, so freezing it and completing more packets than the window holds
+// drives the grow path. The grown window must carry every parked packet
+// and gap: after the unfreeze, each survivor is delivered exactly once, in
+// ingress order.
+TEST(NpReorder, FrozenWindowGrowsAndKeepsEveryPacket) {
+  NpConfig cfg = three_worker_config();
+  cfg.reorder_capacity = 16;  // window 128: 16 + 4*3 workers + 64, rounded up
+  cfg.batch_size = 1;
+  Rig run(cfg);
+  const std::size_t window = run.pipeline.reorder_window();
+  ASSERT_EQ(window, 128u);
+  const std::uint64_t packets = window + window / 2;
+
+  std::vector<std::uint64_t> expect_delivered, expect_dropped;
+  for (std::uint64_t id = 0; id < packets; ++id) {
+    if (id % 5 == 0) {
+      run.proc.script(id, false, 100);  // a gap parked beside the packets
+      expect_dropped.push_back(id);
+    } else {
+      run.proc.script(id, true, id % 3 == 0 ? 3000 : 100);  // out-of-order completions
+      expect_delivered.push_back(id);
+    }
+  }
+  run.pipeline.fault_freeze_reorder(true);
+  for (std::uint64_t id = 0; id < packets; ++id)
+    EXPECT_TRUE(run.pipeline.submit(make_packet(id)));
+  run.sim.run_all();
+
+  EXPECT_TRUE(run.delivered.empty());
+  EXPECT_EQ(run.pipeline.reorder_occupancy(), packets);
+  EXPECT_EQ(run.pipeline.reorder_window(), 2 * window);
+
+  run.pipeline.fault_freeze_reorder(false);
+  run.sim.run_all();
+
+  EXPECT_EQ(run.delivered, expect_delivered);
+  std::sort(run.dropped.begin(), run.dropped.end());
+  EXPECT_EQ(run.dropped, expect_dropped);
+  const auto& st = run.pipeline.stats();
+  EXPECT_EQ(st.forwarded_to_wire, expect_delivered.size());
+  EXPECT_EQ(st.reorder_flushes, 0u);
+  EXPECT_EQ(st.tx_ring_drops, 0u);
+  EXPECT_EQ(run.pipeline.in_flight(), 0u);
+  EXPECT_EQ(run.pipeline.reorder_occupancy(), 0u);
+}
+
 // A head-of-line hole older than the reorder timeout is flushed past instead
 // of wedging the window until the capacity cap: survivors release in order
 // and the straggler's eventual completion is dropped, not reordered. The
