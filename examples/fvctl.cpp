@@ -182,8 +182,14 @@ bool parse_update(const std::string& text, ctrl::PolicyUpdate* out,
       const std::string key = word.substr(0, eq);
       const std::string val = word.substr(eq + 1);
       try {
-        if (key == "weight") d.weight = std::stod(val);
-        else if (key == "prio") {
+        if (key == "weight") {
+          // Any finite number here; validate_deltas refuses one <= 0.
+          double weight = 0.0;
+          if (!parse_double(val.c_str(), std::numeric_limits<double>::lowest(),
+                            std::numeric_limits<double>::max(), &weight))
+            throw std::invalid_argument("not a finite number");
+          d.weight = weight;
+        } else if (key == "prio") {
           core::PrioLevel prio = 0;
           if (!parse_count(val.c_str(), &prio))
             throw std::invalid_argument("not an integer in [0, 255]");

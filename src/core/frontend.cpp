@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -33,11 +34,13 @@ constexpr std::uint64_t kMaxPrioBands = 16;  // tc's TCQ_PRIO_BANDS
 
 [[noreturn]] void fail(const std::string& msg) { throw std::invalid_argument("fv: " + msg); }
 
+/// `s` as a finite decimal number. from_chars also reads `nan`, `inf` and
+/// `-inf`, which no field can use.
 double parse_number(std::string_view s, std::string_view what) {
   double v = 0.0;
   const auto* end = s.data() + s.size();
   auto res = std::from_chars(s.data(), end, v);
-  if (res.ec != std::errc() || res.ptr != end)
+  if (res.ec != std::errc() || res.ptr != end || !std::isfinite(v))
     fail("bad " + std::string(what) + " '" + std::string(s) + "'");
   return v;
 }

@@ -91,6 +91,10 @@ double SchedulingTree::sibling_weight_sum(const SchedClass& parent) const {
   return w > 0.0 ? w : 1.0;
 }
 
+// The one weight check of a loaded tree and of a delta: a NaN or infinite
+// weight would pass `<= 0.0` and make every sibling's θ NaN.
+static bool usable_weight(double w) { return std::isfinite(w) && w > 0.0; }
+
 // Demand-limited reservation of a guaranteed sibling (see policy.h): an
 // inactive class reserves nothing; an active one reserves up to
 // min(guarantee, weighted share) but no more than its measured demand plus
@@ -235,7 +239,7 @@ std::string SchedulingTree::validate_deltas(const PolicyManifest& deltas) const 
   for (const auto& [id, p] : deltas) {
     if (id >= nodes_.size()) return "unknown class id " + std::to_string(id);
     const std::string& name = nodes_[id].name;
-    if (!std::isfinite(p.weight) || p.weight <= 0.0)
+    if (!usable_weight(p.weight))
       return "class '" + name + "': weight must be positive and finite";
     if (p.guarantee < Rate::zero())
       return "class '" + name + "': negative guarantee rate";
@@ -357,7 +361,8 @@ void SchedulingTree::abandon_stage() {
 std::string SchedulingTree::validate() const {
   if (nodes_.empty()) return "tree has no root";
   for (const auto& n : nodes_) {
-    if (n.policy.weight <= 0.0) return "class '" + n.name + "' has non-positive weight";
+    if (!usable_weight(n.policy.weight))
+      return "class '" + n.name + "': weight must be positive and finite";
     if (n.policy.has_guarantee() && n.policy.guarantee > n.policy.ceil)
       return "class '" + n.name + "' guarantee exceeds ceil";
     if (!n.is_root() && n.parent >= nodes_.size())

@@ -272,6 +272,19 @@ TEST(FrontendErrors, IntegerFieldsRejectValuesPastTheirWidth) {
   EXPECT_EQ(fe.tree().at(fe.tree().find("a")).policy.prio, 255);
 }
 
+TEST(FrontendErrors, NonFiniteWeightsFailNamingTheField) {
+  // from_chars reads all three. A NaN weight would pass a `<= 0` check and
+  // make every sibling's θ NaN; an infinite one would starve its siblings.
+  const std::string command = "fv class add dev nic0 parent 1: classid 1:11 name b weight ";
+  for (const std::string weight : {"nan", "inf", "-inf"}) {
+    SCOPED_TRACE(weight);
+    EXPECT_NE(apply_error(command + weight).find("weight '" + weight + "'"),
+              std::string::npos)
+        << apply_error(command + weight);
+  }
+  EXPECT_EQ(apply_error(command + "2.5"), "");
+}
+
 }  // namespace
 }  // namespace flowvalve::core
 

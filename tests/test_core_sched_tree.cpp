@@ -2,6 +2,8 @@
 // θ-derivation condition templates (paper Eq. 2/4/5/6 and §IV-C-3).
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/sched_tree.h"
 
 namespace flowvalve::core {
@@ -86,6 +88,20 @@ TEST(SchedTree, ValidateRejectsGuaranteeAboveCeil) {
   p.ceil = Rate::gigabits_per_sec(2);
   tree.add_class("bad", root, p);
   EXPECT_NE(tree.validate().find("guarantee exceeds ceil"), std::string::npos);
+}
+
+TEST(SchedTree, ValidateRejectsWeightsThatAreNotPositiveAndFinite) {
+  // NaN fails every comparison, so a bare `weight <= 0` check let it in.
+  for (const double weight : {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity(), 0.0, -1.0}) {
+    SchedulingTree tree;
+    const auto root = tree.add_root("root", Rate::gigabits_per_sec(10));
+    NodePolicy p;
+    p.weight = weight;
+    tree.add_class("bad", root, p);
+    EXPECT_EQ(tree.validate(), "class 'bad': weight must be positive and finite")
+        << weight;
+  }
 }
 
 TEST(SchedTree, FinalizeSeedsWeightedShares) {
