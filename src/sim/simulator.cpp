@@ -146,112 +146,142 @@ void Simulator::wheel_place(std::uint32_t idx) {
     s.next = -1;
     return;
   }
-  // Minimal level whose block still contains the cursor: level 0 slots
-  // resolve single instants; level L >= 1 slots cascade 2^(12+8(L-1)) ns at
-  // a time. The highest bit where `t` and the cursor differ picks the level
-  // directly (all bits above level_shift(L) + level_bits(L) must agree).
-  unsigned level = 0;
-  if (const std::uint64_t diff = t ^ wheel_time_; diff >= level_slots(0)) {
-    const unsigned hsb = 63u - static_cast<unsigned>(__builtin_clzll(diff));
-    level = (hsb - kL0Bits) / kLxBits + 1;  // <= kWheelLevels - 1 by coverage
+  if (t - wheel_time_ < kL0Slots) {
+    // Within 4096 ns of the cursor: the slot resolves the instant exactly,
+    // since level 0 never holds two instants that agree mod 4096.
+    const unsigned slot = static_cast<unsigned>(t & (kL0Slots - 1));
+    s.next = l0_head_[slot];
+    l0_head_[slot] = static_cast<std::int32_t>(idx);
+    l0_occ_[slot >> 6] |= 1ull << (slot & 63);
+    l0_summary_ |= 1ull << (slot >> 6);
+    return;
   }
-  const unsigned slot = static_cast<unsigned>((t >> level_shift(level)) &
-                                              (level_slots(level) - 1));
-  std::int32_t& head = wheel_head_[head_offset(level) + slot];
+  // At least 4096 ns ahead, so `t` and the cursor differ at bit 12 or above:
+  // the minimal aligned level whose block still contains the cursor.
+  const unsigned level = hi_level(t);
+  const unsigned shift = level_shift(level);
+  const unsigned slot = static_cast<unsigned>((t >> shift) & (kLxSlots - 1));
+  std::int32_t& head = hi_head_[level - 1][slot];
   s.next = head;
   head = static_cast<std::int32_t>(idx);
-  occupancy_[occ_offset(level) + (slot >> 6)] |= 1ull << (slot & 63);
+  hi_occ_[level - 1][slot >> 6] |= 1ull << (slot & 63);
+  hi_min_ = std::min(hi_min_, (t >> shift) << shift);
 }
 
-int Simulator::scan_occupancy(unsigned level, unsigned from) const {
-  const unsigned slots = level_slots(level);
-  if (from >= slots) return -1;
-  const std::uint64_t* occ = &occupancy_[occ_offset(level)];
-  unsigned word = from >> 6;
-  std::uint64_t mask = ~0ull << (from & 63);
-  for (; word < slots / 64; ++word) {
-    const std::uint64_t bits = occ[word] & mask;
-    if (bits != 0)
-      return static_cast<int>(word * 64 +
-                              static_cast<unsigned>(__builtin_ctzll(bits)));
-    mask = ~0ull;
+unsigned Simulator::l0_next_slot() const {
+  // Level-0 events lie in [wheel_time_, wheel_time_ + 4096), so the first
+  // occupied slot circularly from the cursor's slot holds the earliest.
+  const unsigned cur = static_cast<unsigned>(wheel_time_ & (kL0Slots - 1));
+  const unsigned word = cur >> 6;
+  if (const std::uint64_t here = l0_occ_[word] & (~0ull << (cur & 63)))
+    return word * 64 + static_cast<unsigned>(__builtin_ctzll(here));
+  // Words after the cursor's, else wrap to the lowest occupied word (it may
+  // be the cursor's own, below the cursor's bit).
+  const std::uint64_t later = l0_summary_ & (~1ull << word);
+  const unsigned w =
+      static_cast<unsigned>(__builtin_ctzll(later != 0 ? later : l0_summary_));
+  return w * 64 + static_cast<unsigned>(__builtin_ctzll(l0_occ_[w]));
+}
+
+void Simulator::rescan_hi_min(unsigned from_level) {
+  // Level-L blocks lie inside the cursor's level-(L+1) block while
+  // level-(L+1) blocks lie strictly beyond it, so the first occupied slot
+  // of the first occupied level is the earliest. Slots at or behind a
+  // level's cursor index are empty: the cursor never passes hi_min_.
+  hi_min_ = kNoBlock;
+  for (unsigned level = from_level; level < kWheelLevels; ++level) {
+    const unsigned shift = level_shift(level);
+    const unsigned cur =
+        static_cast<unsigned>((wheel_time_ >> shift) & (kLxSlots - 1));
+    const std::uint64_t* occ = hi_occ_[level - 1];
+    std::uint64_t mask = ~0ull << ((cur + 1) & 63);
+    for (unsigned w = (cur + 1) >> 6; w < kLxSlots / 64; ++w, mask = ~0ull) {
+      const std::uint64_t bits = occ[w] & mask;
+      if (bits == 0) continue;
+      const unsigned span = shift + kLxBits;
+      const std::uint64_t base =
+          span < 64 ? wheel_time_ & ~((1ull << span) - 1) : 0;
+      const std::uint64_t j =
+          w * 64 + static_cast<unsigned>(__builtin_ctzll(bits));
+      hi_min_ = base + (j << shift);
+      return;
+    }
   }
-  return -1;
+}
+
+void Simulator::cascade_min_block() {
+  // The cursor reaches the earliest occupied higher-level block: its events
+  // now lie within one block span of the cursor, so each re-placement lands
+  // in a strictly lower level. Levels below this one are empty (their
+  // blocks would all precede this one).
+  const unsigned level = hi_level(hi_min_);
+  const unsigned shift = level_shift(level);
+  const unsigned slot =
+      static_cast<unsigned>((hi_min_ >> shift) & (kLxSlots - 1));
+  std::int32_t head = hi_head_[level - 1][slot];
+  hi_head_[level - 1][slot] = -1;
+  hi_occ_[level - 1][slot >> 6] &= ~(1ull << (slot & 63));
+  wheel_time_ = hi_min_;
+  rescan_hi_min(level);
+  while (head >= 0) {
+    const std::uint32_t idx = static_cast<std::uint32_t>(head);
+    head = slot_at(idx).next;
+    slot_at(idx).next = -1;
+    if (slot_at(idx).state == EventSlot::State::kArmed) {
+      wheel_place(idx);  // lowers hi_min_ when it lands above level 0
+    } else {
+      free_slot(idx);
+    }
+  }
 }
 
 void Simulator::wheel_advance() {
   for (;;) {
-    // The earliest occupied slot: level-L events live inside the cursor's
-    // level-(L+1) block while level-(L+1) events live strictly beyond it,
-    // so every level-L candidate precedes every level-(L+1) candidate and
-    // the FIRST occupied level (scanning upward) holds the global minimum.
-    // Slots strictly behind a level's cursor are always empty (the cursor
-    // only jumps to minima, and insertions land at or ahead of it), so a
-    // forward scan per level suffices.
-    std::uint64_t best_time = ~0ull;
-    unsigned best_level = 0;
-    unsigned best_slot = 0;
-    bool found = false;
-    for (unsigned level = 0; level < kWheelLevels; ++level) {
-      const unsigned shift = level_shift(level);
-      const unsigned cur = static_cast<unsigned>((wheel_time_ >> shift) &
-                                                 (level_slots(level) - 1));
-      const int j = scan_occupancy(level, level == 0 ? cur : cur + 1);
-      if (j < 0) continue;
-      const unsigned span = shift + level_bits(level);
-      const std::uint64_t base =
-          span < 64 ? wheel_time_ & ~((1ull << span) - 1) : 0;
-      best_time = base + (static_cast<std::uint64_t>(j) << shift);
-      best_level = level;
-      best_slot = static_cast<unsigned>(j);
-      found = true;
-      break;
+    std::uint64_t l0_time = kNoBlock;
+    unsigned l0_slot = 0;
+    if (l0_summary_ != 0) {
+      l0_slot = l0_next_slot();
+      l0_time = wheel_time_ + ((l0_slot - wheel_time_) & (kL0Slots - 1));
     }
-    assert(found && "live events exist but no wheel slot is occupied");
-    if (!found) return;
+    // On a tie the cascade goes first: it brings the block's events at
+    // that instant into the same level-0 slot, so one due_ batch holds the
+    // whole instant.
+    if (hi_min_ <= l0_time) {
+      assert(hi_min_ != kNoBlock &&
+             "live events exist but no wheel slot is occupied");
+      if (hi_min_ == kNoBlock) return;
+      cascade_min_block();
+      continue;
+    }
 
-    std::int32_t head = wheel_head_[head_offset(best_level) + best_slot];
-    wheel_head_[head_offset(best_level) + best_slot] = -1;
-    occupancy_[occ_offset(best_level) + (best_slot >> 6)] &=
-        ~(1ull << (best_slot & 63));
-    wheel_time_ = best_time;
+    std::int32_t head = l0_head_[l0_slot];
+    l0_head_[l0_slot] = -1;
+    std::uint64_t& occ = l0_occ_[l0_slot >> 6];
+    occ &= ~(1ull << (l0_slot & 63));
+    if (occ == 0) l0_summary_ &= ~(1ull << (l0_slot >> 6));
+    wheel_time_ = l0_time;
 
-    if (best_level == 0) {
-      // Exact instant reached: batch the slot's survivors, restore
-      // same-instant FIFO by sequence number.
-      while (head >= 0) {
-        const std::uint32_t idx = static_cast<std::uint32_t>(head);
-        head = slot_at(idx).next;
-        slot_at(idx).next = -1;
-        if (slot_at(idx).state == EventSlot::State::kArmed) {
-          due_.push_back(idx);
-        } else {
-          free_slot(idx);
-        }
-      }
-      if (!due_.empty()) {
-        if (due_.size() > 1)  // batches of one (sparse workloads) skip it
-          std::sort(due_.begin(), due_.end(),
-                    [this](std::uint32_t a, std::uint32_t b) {
-                      return slot_at(a).seq < slot_at(b).seq;
-                    });
-        return;
-      }
-      // Slot held only cancelled events; keep searching.
-    } else {
-      // Block boundary reached: cascade occupants into strictly lower
-      // levels (their level-`best_level` block now contains the cursor).
-      while (head >= 0) {
-        const std::uint32_t idx = static_cast<std::uint32_t>(head);
-        head = slot_at(idx).next;
-        slot_at(idx).next = -1;
-        if (slot_at(idx).state == EventSlot::State::kArmed) {
-          wheel_place(idx);
-        } else {
-          free_slot(idx);
-        }
+    // Exact instant reached: batch the slot's survivors, restore
+    // same-instant FIFO by sequence number.
+    while (head >= 0) {
+      const std::uint32_t idx = static_cast<std::uint32_t>(head);
+      head = slot_at(idx).next;
+      slot_at(idx).next = -1;
+      if (slot_at(idx).state == EventSlot::State::kArmed) {
+        due_.push_back(idx);
+      } else {
+        free_slot(idx);
       }
     }
+    if (!due_.empty()) {
+      if (due_.size() > 1)  // batches of one (sparse workloads) skip it
+        std::sort(due_.begin(), due_.end(),
+                  [this](std::uint32_t a, std::uint32_t b) {
+                    return slot_at(a).seq < slot_at(b).seq;
+                  });
+      return;
+    }
+    // Slot held only cancelled events; keep searching.
   }
 }
 

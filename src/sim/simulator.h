@@ -9,11 +9,11 @@
 //
 //  - SchedulerKind::kWheel (default): a slab/free-list event pool with
 //    generation-counter handles feeding a hierarchical timing wheel
-//    (8 levels x 256 slots, Varghese/Lauck-style with Carousel's
-//    array-backed philosophy). No allocation on the schedule/fire hot
-//    path: closures live inline in pooled slots (InlineCallback), wheel
-//    slots are intrusive singly-linked lists, and cancellation is a
-//    generation check.
+//    (a 4096-slot cursor-relative level 0 under seven 256-slot aligned
+//    levels, Varghese/Lauck-style with Carousel's array-backed
+//    philosophy). No allocation on the schedule/fire hot path: closures
+//    live inline in pooled slots (InlineCallback), wheel slots are
+//    intrusive singly-linked lists, and cancellation is a generation check.
 //  - SchedulerKind::kHeap: the original binary-heap kernel
 //    (std::function + shared_ptr<bool> liveness flag per event), kept as
 //    the reference implementation for differential testing and as the
@@ -84,7 +84,9 @@ class Simulator {
 
   explicit Simulator(SchedulerKind kind = SchedulerKind::kWheel)
       : kind_(kind) {
-    for (auto& head : wheel_head_) head = -1;
+    for (auto& head : l0_head_) head = -1;
+    for (auto& level : hi_head_)
+      for (auto& head : level) head = -1;
   }
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -186,39 +188,35 @@ class Simulator {
   // lookup) and are recycled through a free list; each recycle bumps the
   // slot's generation, invalidating outstanding handles.
   //
-  // Wheel: a wide 4096-slot level 0 (one slot per ns across a 4 µs span —
-  // the pipeline's completion/drain/arrival deltas land here directly, no
-  // cascading) topped by seven 256-slot levels, 68 bits of total coverage.
-  // Each slot is an intrusive singly-linked list (EventSlot::next) with an
-  // occupancy bitmap per level for O(1) next-slot scans. Advancing to a
-  // level-0 slot collects its list into `due_` sorted by sequence number
-  // (same-instant FIFO); crossing a higher-level slot boundary cascades its
-  // list into strictly lower levels. `early_` absorbs the rare event
+  // Wheel: level 0 is cursor-relative. An event due within the next 4096 ns
+  // (0 <= at - wheel_time_ < 4096) sits in slot `at mod 4096`, whichever
+  // aligned 4096-ns block it falls in, so the pipeline's 0.3-2.5 µs
+  // completion/drain/arrival deltas are placed once and never cascade.
+  // Its 64 occupancy words carry a 64-bit summary word, which makes the
+  // circular find-next from the cursor's slot O(1). Later events go to
+  // seven aligned 256-slot levels (68 bits of total coverage), where XOR +
+  // CLZ against the cursor picks the level. A cascade still happens when
+  // the cursor reaches the start of an occupied higher-level block: its
+  // events, placed 4096 ns or more ahead, move to strictly lower levels.
+  // `hi_min_` caches the earliest occupied block start above level 0; an
+  // advance takes the level-0 candidate only when it is strictly earlier
+  // and cascades first on a tie, so every event of an instant is in one
+  // level-0 slot when the cursor collects it into `due_`, sorted by
+  // sequence number (same-instant FIFO). `early_` absorbs the rare event
   // scheduled before wheel_time_ (possible after a run_until horizon peek
   // advanced the wheel): such an event is provably earlier than everything
   // still in the wheel.
   static constexpr unsigned kWheelLevels = 8;
   static constexpr unsigned kL0Bits = 12;  // level 0: 4096 one-ns slots
+  static constexpr unsigned kL0Slots = 1u << kL0Bits;
   static constexpr unsigned kLxBits = 8;   // levels 1..7: 256 slots each
+  static constexpr unsigned kLxSlots = 1u << kLxBits;
+  static constexpr std::uint64_t kNoBlock = ~0ull;  // hi_min_ when empty
 
-  static constexpr unsigned level_bits(unsigned level) {
-    return level == 0 ? kL0Bits : kLxBits;
-  }
+  /// Bit position of the lowest time bit that indexes level `level` >= 1.
   static constexpr unsigned level_shift(unsigned level) {
-    return level == 0 ? 0 : kL0Bits + kLxBits * (level - 1);
+    return kL0Bits + kLxBits * (level - 1);
   }
-  static constexpr unsigned level_slots(unsigned level) {
-    return 1u << level_bits(level);
-  }
-  /// Index of `level`'s first entry in the flattened head / bitmap arrays.
-  static constexpr unsigned head_offset(unsigned level) {
-    return level == 0 ? 0 : level_slots(0) + (level - 1) * level_slots(1);
-  }
-  static constexpr unsigned occ_offset(unsigned level) {
-    return level == 0 ? 0 : level_slots(0) / 64 + (level - 1) * (level_slots(1) / 64);
-  }
-  static constexpr unsigned kTotalSlots =
-      (1u << kL0Bits) + (kWheelLevels - 1) * (1u << kLxBits);
 
   struct EventSlot {
     enum class State : std::uint8_t { kFree, kArmed, kCancelled };
@@ -253,7 +251,16 @@ class Simulator {
   SimTime wheel_next_time();
   bool wheel_step();
   void wheel_exec_ready();  // pre: wheel_next_time just returned a live event
-  int scan_occupancy(unsigned level, unsigned from) const;
+  unsigned l0_next_slot() const;  // pre: level 0 is occupied
+  void cascade_min_block();       // pre: hi_min_ != kNoBlock
+  void rescan_hi_min(unsigned from_level);
+  /// The aligned level (>= 1) for a time at least 4096 ns past the cursor:
+  /// the highest bit where it differs from the cursor.
+  unsigned hi_level(std::uint64_t t) const {
+    const unsigned hsb =
+        63u - static_cast<unsigned>(__builtin_clzll(t ^ wheel_time_));
+    return (hsb - kL0Bits) / kLxBits + 1;  // <= kWheelLevels - 1 by coverage
+  }
 
   static constexpr unsigned kPoolChunkBits = 8;  // 256 slots per chunk
   static constexpr unsigned kPoolChunk = 1u << kPoolChunkBits;
@@ -283,8 +290,13 @@ class Simulator {
   std::size_t live_count_ = 0;  // armed events (excludes cancelled)
 
   std::uint64_t wheel_time_ = 0;  // wheel cursor; <= every event in the wheel
-  std::int32_t wheel_head_[kTotalSlots];  // flattened per-level lists; -1 = empty
-  std::uint64_t occupancy_[kTotalSlots / 64] = {};
+  // Slot lists hold pool indices; -1 = empty.
+  std::int32_t l0_head_[kL0Slots];
+  std::uint64_t l0_occ_[kL0Slots / 64] = {};
+  std::uint64_t l0_summary_ = 0;  // bit w set iff l0_occ_[w] != 0
+  std::int32_t hi_head_[kWheelLevels - 1][kLxSlots];  // [level - 1][slot]
+  std::uint64_t hi_occ_[kWheelLevels - 1][kLxSlots / 64] = {};
+  std::uint64_t hi_min_ = kNoBlock;  // earliest occupied block start, levels 1..7
 
   std::vector<std::uint32_t> due_;  // current-instant batch, seq-sorted
   std::size_t due_pos_ = 0;
