@@ -165,19 +165,15 @@ void NicPipeline::dispatch_burst(unsigned worker) {
   // aborted micro-engine, so the first verdict (and its meter debits)
   // stands; only the base packet-handling work is repeated.
   while (ctx.burst.size() < config_.batch_size && !retry_queue_.empty()) {
-    RetryEntry e = std::move(retry_queue_.front());
-    retry_queue_.pop_front();
+    RetryEntry& e = retry_queue_.front();
     std::uint64_t cycles = kBaseRxCycles;
     if (e.forward) cycles += kBaseTxCycles;
     stats_.processing_cycles += cycles;
     ++stats_.processed;
-    BurstItem item;
-    item.pkt = std::move(e.pkt);
-    item.seq = e.seq;
-    item.busy = config_.cycles_to_ns(cycles);
-    item.forward = e.forward;
-    item.retries = e.retries;
-    ctx.burst.push_back(std::move(item));
+    // Built in the burst's own storage: the packet is copied once.
+    ctx.burst.emplace_back(std::move(e.pkt), e.seq, config_.cycles_to_ns(cycles),
+                           e.forward, e.retries);
+    retry_queue_.pop_front();
   }
 
   // Pull phase 2 — fresh packets, round-robin over the VF rings in the
@@ -207,14 +203,12 @@ void NicPipeline::dispatch_burst(unsigned worker) {
       if (++rr_vf_ >= config_.num_vfs) rr_vf_ = 0;
     }
     auto& ring = vf_rings_[rr_vf_];
-    BurstItem item;
-    item.pkt = std::move(ring.front());
-    item.seq = next_ingress_seq_++;
+    BurstItem& item =
+        ctx.burst.emplace_back(std::move(ring.front()), next_ingress_seq_++);
     if (stamp_epoch) item.pkt.policy_epoch = ctrl_epoch;
     ring.pop_front();
     --vf_waiting_;
     if (++rr_vf_ >= config_.num_vfs) rr_vf_ = 0;
-    ctx.burst.push_back(std::move(item));
   }
   if (ctx.burst.empty()) {  // raced empty; return the micro-engine
     idle_workers_.push_back(worker);
