@@ -26,6 +26,7 @@
 //   fv class add dev nic0 parent 1: classid 1:11 name silver weight 1
 //   fv filter add dev nic0 pref 1 vf 0 classid 1:10
 //   fv filter add dev nic0 pref 2 vf 1 classid 1:11
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -308,11 +309,17 @@ int run_command(const Args& args) {
     mgr->set_observer(&print_observer);
   }
 
+  // The table has ten rows of seconds/10; bins no wider than a row keep a
+  // run shorter than a second from printing one bin on every row.
+  const sim::SimTime horizon = sim::seconds_f(args.seconds);
+  const sim::SimDuration row_width = sim::seconds_f(args.seconds / 10.0);
+  const sim::SimDuration bin_width = std::min(sim::milliseconds(100), row_width);
+
   std::vector<std::unique_ptr<stats::ThroughputSeries>> series;
   std::vector<std::unique_ptr<traffic::AppProcess>> apps;
   std::vector<stats::NamedSeries> named;
   for (unsigned i = 0; i < args.apps; ++i) {
-    series.push_back(std::make_unique<stats::ThroughputSeries>(sim::milliseconds(100)));
+    series.push_back(std::make_unique<stats::ThroughputSeries>(bin_width));
     router.track_app(i, series.back().get());
     traffic::AppConfig cfg;
     cfg.name = "app" + std::to_string(i);
@@ -329,8 +336,6 @@ int run_command(const Args& args) {
     named.push_back({cfg.name, series.back().get()});
     apps.push_back(std::move(app));
   }
-
-  const sim::SimTime horizon = sim::seconds_f(args.seconds);
 
   if (args.command == Command::kApply || args.command == Command::kRollback) {
     const sim::SimTime at = args.at_ms >= 0.0
@@ -351,12 +356,11 @@ int run_command(const Args& args) {
 
   simulator.run_until(horizon);
 
-  std::printf("fvctl — %s | %u apps × %u conns | wire %.0fG | %.1fs | seed %llu\n\n",
+  std::printf("fvctl — %s | %u apps × %u conns | wire %.0fG | %.*fs | seed %llu\n\n",
               args.policy_path.c_str(), args.apps, args.conns, args.wire_gbps,
-              args.seconds, static_cast<unsigned long long>(args.seed));
-  std::printf("%s\n",
-              stats::series_to_table(named, horizon, sim::seconds_f(args.seconds / 10.0))
-                  .c_str());
+              std::max(1, stats::exact_seconds_decimals(horizon)), args.seconds,
+              static_cast<unsigned long long>(args.seed));
+  std::printf("%s\n", stats::series_to_table(named, horizon, row_width).c_str());
 
   std::printf("fv class show (%s):\n%s\n",
               core::render_engine_summary(engine).c_str(),

@@ -29,9 +29,12 @@ std::string series_to_csv(const std::vector<NamedSeries>& series, SimTime horizo
   if (series.empty()) return out.str();
   const SimDuration bw = series.front().series->bin_width();
   const auto nbins = static_cast<std::size_t>(horizon / bw);
+  const int decimals =
+      bw >= sim::milliseconds(100) ? 3 : exact_seconds_decimals(bw) + 1;
   char buf[64];
   for (std::size_t b = 0; b < nbins; ++b) {
-    std::snprintf(buf, sizeof(buf), "%.3f", series.front().series->bin_mid_seconds(b));
+    std::snprintf(buf, sizeof(buf), "%.*f", decimals,
+                  series.front().series->bin_mid_seconds(b));
     out << buf;
     for (const auto& s : series) {
       std::snprintf(buf, sizeof(buf), "%.4f", s.series->bin_rate(b).gbps());
@@ -81,10 +84,13 @@ std::string series_to_table(const std::vector<NamedSeries>& series, SimTime hori
   for (const auto& s : series) headers.push_back(s.name + "(Gbps)");
   headers.push_back("total(Gbps)");
   TablePrinter tp(std::move(headers));
+  const int decimals =
+      step >= sim::milliseconds(100) ? 1 : exact_seconds_decimals(step);
   for (SimTime t = 0; t + step <= horizon; t += step) {
     std::vector<std::string> row;
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%5.1f-%5.1f", sim::to_seconds(t),
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%*.*f-%*.*f", decimals + 4, decimals,
+                  sim::to_seconds(t), decimals + 4, decimals,
                   sim::to_seconds(t + step));
     row.emplace_back(buf);
     double total = 0.0;
@@ -97,6 +103,12 @@ std::string series_to_table(const std::vector<NamedSeries>& series, SimTime hori
     tp.add_row(std::move(row));
   }
   return tp.to_string();
+}
+
+int exact_seconds_decimals(SimDuration d) {
+  int decimals = 9;
+  for (; decimals > 0 && d % 10 == 0; --decimals) d /= 10;
+  return decimals;
 }
 
 }  // namespace flowvalve::stats

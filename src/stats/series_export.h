@@ -17,7 +17,9 @@ struct NamedSeries {
   const ThroughputSeries* series = nullptr;
 };
 
-/// Emit "time_s,name1_gbps,name2_gbps,..." rows covering [0, horizon).
+/// Emit "time_s,name1_gbps,name2_gbps,..." rows covering [0, horizon), one
+/// per bin, stamped with the bin's midpoint: three decimals for bins of
+/// 0.1 s or more, one more than the bin width needs for finer ones.
 std::string series_to_csv(const std::vector<NamedSeries>& series, SimTime horizon);
 
 /// Write CSV to a file; returns false on I/O failure.
@@ -32,8 +34,13 @@ std::string series_to_ascii(const std::vector<NamedSeries>& series, SimTime hori
 
 /// Print a per-interval rate table: one row per `step` of virtual time, one
 /// column per series (in Gbps). This is the primary textual form of the
-/// throughput-over-time figures.
+/// throughput-over-time figures. Row labels carry one decimal for steps of
+/// 0.1 s or more and exact_seconds_decimals(step) for finer ones.
 std::string series_to_table(const std::vector<NamedSeries>& series, SimTime horizon,
                             SimDuration step);
+
+/// Decimals that print `d` in seconds exactly: 9 less the trailing decimal
+/// zeros of its nanosecond count (0 for whole seconds).
+int exact_seconds_decimals(SimDuration d);
 
 }  // namespace flowvalve::stats

@@ -3,12 +3,15 @@
 // a flag without its value exits 2 with the usage text before any
 // simulation is built, and well-formed flags still run. An update file
 // whose delta prio= does not fit a priority level, or whose weight= is not
-// one finite number, fails its parse.
+// one finite number, fails its parse. A run shorter than a second prints
+// a throughput table whose rows each cover their own interval.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
 #include <cstdio>
 #include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
 
 namespace {
@@ -68,6 +71,31 @@ TEST(FvctlCli, RunsWithWellFormedFlags) {
   EXPECT_NE(o.output.find("2 apps × 1 conns | wire 10G"), std::string::npos)
       << o.output;
   EXPECT_NE(o.output.find("seed 42"), std::string::npos) << o.output;
+}
+
+TEST(FvctlCli, ShortRunTableResolvesEachRow) {
+  // The table has ten rows of seconds/10. A run shorter than a second must
+  // still label each row with its own interval and bin each row on its own,
+  // not print one 100-ms bin (and "0.0-  0.0") on every row.
+  const Outcome o = run_fvctl(kRun + " --seconds 0.05");
+  EXPECT_EQ(o.exit_code, 0) << o.output;
+  EXPECT_NE(o.output.find("| 0.05s |"), std::string::npos) << o.output;
+  std::set<std::string> labels;
+  std::set<std::string> rates;
+  std::istringstream lines(o.output);
+  for (std::string line; std::getline(lines, line);) {
+    // Data rows look like "|   0.005-  0.010 | 4.59       | ...".
+    if (line.size() < 2 || line[0] != '|' || line.find("t(s)") != std::string::npos ||
+        line.find("---") != std::string::npos)
+      continue;
+    const std::size_t cut = line.find('|', 1);
+    ASSERT_NE(cut, std::string::npos) << line;
+    labels.insert(line.substr(1, cut - 1));
+    rates.insert(line.substr(cut));
+  }
+  EXPECT_EQ(labels.size(), 10u) << o.output;
+  EXPECT_NE(o.output.find("|   0.045-  0.050 |"), std::string::npos) << o.output;
+  EXPECT_GT(rates.size(), 1u) << o.output;
 }
 
 TEST(FvctlCli, ApplyRejectsAPrioOutsideItsByte) {

@@ -111,6 +111,14 @@ TEST(SeriesExport, CsvShape) {
       series_to_csv({{"app", &s}}, sim::milliseconds(200));
   EXPECT_NE(csv.find("time_s,app_gbps"), std::string::npos);
   EXPECT_NE(csv.find("0.050,0.0010"), std::string::npos);
+
+  // Bins finer than 0.1 s stamp their midpoints exactly: 2.5 ms, not 0.003.
+  ThroughputSeries fine(sim::milliseconds(5));
+  fine.add(sim::milliseconds(6), 625);  // 1 Mbps in the second bin
+  const std::string fine_csv =
+      series_to_csv({{"app", &fine}}, sim::milliseconds(10));
+  EXPECT_NE(fine_csv.find("\n0.0025,0.0000\n0.0075,0.0010\n"), std::string::npos)
+      << fine_csv;
 }
 
 TEST(SeriesExport, TableContainsTotals) {
